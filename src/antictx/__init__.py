@@ -58,6 +58,7 @@ from .valuefns import (
     ValueFunction,
     brute_force_antiset_bound,
     classical_bound,
+    count_value_functions,
     definite_intersection,
     enumerate_value_functions,
     is_noncontextual_state,

@@ -110,10 +110,11 @@ def _cmd_validate(args, ctx) -> CommandResult:
 
 def _cmd_value_functions(args, ctx) -> CommandResult:
     s = scenario.load_scenario(_read(args.scenario))
-    vfs = valuefns.enumerate_value_functions(s, node_budget=ctx["node_budget"])
-    payload = {"count": len(vfs)}
-    if not args.count_only:
-        payload["value_functions"] = [vf.assignment for vf in vfs]
+    budget = ctx["node_budget"]
+    if args.count_only:
+        return _result(EXIT_OK, {"count": valuefns.count_value_functions(s, node_budget=budget)})
+    vfs = valuefns.enumerate_value_functions(s, node_budget=budget)
+    payload = {"count": len(vfs), "value_functions": [vf.assignment for vf in vfs]}
     return _result(EXIT_OK, payload)
 
 
@@ -322,7 +323,7 @@ def _cmd_generate(args, ctx) -> CommandResult:
 
 def _row_specker(tol, budget):
     s = ensembles.generate_scenario("specker")
-    count = len(valuefns.enumerate_value_functions(s, node_budget=budget))
+    count = valuefns.count_value_functions(s, node_budget=budget)
     unique = ratlp.state_uniqueness(s)
     point_ok = unique.status == "unique" and all(v == Fraction(1, 2) for _, v in unique.point)
     return {

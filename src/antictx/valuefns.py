@@ -5,18 +5,26 @@ context and at most one 1 per partial context.  The convex hull of all
 value functions is the noncontextual polytope; its linear maxima are the
 classical bounds of noncontextuality inequalities.
 
-Enumeration is a backtracking search over outcomes in canonical order with
-constraint propagation: once a context has all but one member forced to 0
-the last member is forced to 1, and a 1 anywhere in a (partial) context
-forces 0 on the rest.  Results come back in lexicographic order of the 0/1
-vectors.  Everything downstream of the enumerator is exact rational
-arithmetic; there is no tolerance anywhere in this module.
+Finding value functions is exact cover with secondary items (Knuth,
+*Dancing Links*, arXiv:cs/0011047): contexts are covered exactly once and
+partial contexts at most once.  One search answers every question here.  It
+holds a partial assignment as two bitmasks, `ones` and `zeros`, with label i
+of the canonical order at bit n-1-i, so masks compare like the 0/1 vectors.
+A 1 zeroes every outcome sharing a (partial) context with it.  The search
+branches on the open context with the fewest free members, trying each as
+its 1; with every context closed, it branches 0/1 on the first free outcome.
+Each branch is one node of the node budget.  The search keeps its own stack,
+so no scenario is too deep for it.  Enumeration sorts the masks found,
+definite intersections start from the forced 1s, and classical bounds count
+and keep the heaviest value function under integer weights, building no
+list.  There is no tolerance anywhere in this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from . import ratlp
@@ -37,6 +45,7 @@ __all__ = [
     "MembershipVerdict",
     "DEFAULT_NODE_BUDGET",
     "enumerate_value_functions",
+    "count_value_functions",
     "definite_intersection",
     "classical_bound",
     "is_noncontextual_state",
@@ -103,21 +112,96 @@ class MembershipVerdict:
         return self.status == "member"
 
 
-def _indexed_sets(s: Scenario, labels: tuple[str, ...]):
-    index = {a: i for i, a in enumerate(labels)}
-    stray = sorted({a for m in s.all_sets() for a in m} - set(labels))
+def _search(s: Scenario, labels, node_budget, forced=(), gains=None):
+    """Yield (ones, weight) for each value function setting `forced` to 1:
+    its mask over `labels` and the sum of the integer `gains` of its 1s."""
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    n = len(labels)
+    bit = {a: 1 << (n - 1 - i) for i, a in enumerate(labels)}
+    stray = sorted({a for m in s.all_sets() for a in m} - bit.keys())
     if stray:
         raise UnknownLabelError(f"scenario sets mention unknown outcomes: {stray}")
-    sets = []
-    for members in s.contexts:
-        sets.append((True, tuple(sorted(index[a] for a in members))))
-    for members in s.partial_contexts:
-        sets.append((False, tuple(sorted(index[a] for a in members))))
-    membership: list[list[int]] = [[] for _ in labels]
-    for si, (_, members) in enumerate(sets):
-        for i in members:
-            membership[i].append(si)
-    return sets, membership
+    # an outcome set to 1 zeroes every other member of its (partial) contexts
+    masks = [sum(bit[a] for a in members) for members in s.all_sets()]
+    zeroed = dict.fromkeys(bit.values(), 0)
+    for members, mask in zip(s.all_sets(), masks):
+        for a in members:
+            zeroed[bit[a]] |= mask & ~bit[a]
+    gain = {b: (gains or {}).get(a, 0) for a, b in bit.items()}
+
+    ones = zeros = weight = 0
+    for b in map(bit.get, forced):
+        if b & zeros:
+            return  # two forced outcomes share a (partial) context
+        ones, zeros, weight = ones | b, zeros | zeroed[b], weight + gain[b]
+    full = (1 << n) - 1
+    nodes = 0
+    stack = [(ones, zeros, weight, masks[: len(s.contexts)])]
+    while stack:
+        ones, zeros, weight, candidates = stack.pop()
+        allowed = ~zeros
+        pick, fewest, still_open = 0, n + 1, []
+        for members in candidates:
+            if members & ones:
+                continue
+            free = members & allowed
+            k = free.bit_count()
+            if k <= 1:
+                # no free member ends the branch; one is forced, and the
+                # child scans the rest of the contexts
+                pick, fewest, still_open = free, k, candidates
+                break
+            still_open.append(members)
+            if k < fewest:
+                pick, fewest = free, k
+        if not fewest:
+            continue  # a context can no longer get its 1
+        if not pick:  # every context has its 1: branch 0/1 on the first free outcome
+            free = full & allowed & ~ones
+            if not free:
+                yield ones, weight
+                continue
+            pick = 1 << (free.bit_length() - 1)
+            stack.append((ones, zeros | pick, weight, still_open))
+            fewest = 2
+        nodes += fewest
+        if nodes > budget:
+            raise ResourceLimitError(f"value-function search exceeded {budget} nodes")
+        while pick:
+            b = pick & -pick
+            pick ^= b
+            stack.append((ones | b, zeros | zeroed[b], weight + gain[b], still_open))
+
+
+_BITS = bytes.maketrans(b"01", bytes([0, 1]))
+
+
+def _value_function(labels: tuple[str, ...], ones: int) -> ValueFunction:
+    # a leading 1 keeps the leading 0s (and gives n = 0 an empty vector)
+    digits = format(ones | 1 << len(labels), "b")[1:]
+    return ValueFunction(labels, tuple(digits.encode().translate(_BITS)))
+
+
+def _value_functions(s: Scenario, node_budget, forced=()) -> list[ValueFunction]:
+    labels = canonical_outcomes(s)
+    vfs = sorted(ones for ones, _ in _search(s, labels, node_budget, forced))
+    for i, ones in enumerate(vfs):  # in place: each mask is freed as it is replaced
+        vfs[i] = _value_function(labels, ones)
+    return vfs
+
+
+def _best(s: Scenario, gains: Mapping[str, int], node_budget):
+    """Count the value functions and find the lexicographically first one
+    of maximum weight, without building the list."""
+    labels = canonical_outcomes(s)
+    count, best, best_ones = 0, None, 0
+    for ones, weight in _search(s, labels, node_budget, gains=gains):
+        count += 1
+        if best is None or weight > best or (weight == best and ones < best_ones):
+            best, best_ones = weight, ones
+    if not count:
+        raise EmptyPolytopeError("scenario has no value functions; bound undefined")
+    return count, best, _value_function(labels, best_ones)
 
 
 def enumerate_value_functions(
@@ -128,81 +212,12 @@ def enumerate_value_functions(
     Raises ResourceLimitError when the search visits more nodes than the
     budget allows (default 10^8).
     """
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    labels = canonical_outcomes(s)
-    n = len(labels)
-    sets, membership = _indexed_sets(s, labels)
-    is_context = [kind for kind, _ in sets]
-    members_of = [members for _, members in sets]
+    return _value_functions(s, node_budget)
 
-    values = [-1] * n
-    ones = [0] * len(sets)
-    unassigned = [len(m) for m in members_of]
-    trail: list[int] = []
-    solutions: list[tuple[int, ...]] = []
-    nodes = 0
 
-    def propagate(i: int, val: int) -> bool:
-        pending = [(i, val)]
-        while pending:
-            i, val = pending.pop()
-            if values[i] != -1:
-                if values[i] != val:
-                    return False
-                continue
-            values[i] = val
-            trail.append(i)
-            # update every counter before conflict checks so that undo()
-            # stays consistent even when we bail out mid-propagation
-            for si in membership[i]:
-                ones[si] += val
-                unassigned[si] -= 1
-            for si in membership[i]:
-                if ones[si] > 1:
-                    return False
-                members = members_of[si]
-                if ones[si] == 1:
-                    for j in members:
-                        if values[j] == -1:
-                            pending.append((j, 0))
-                elif is_context[si]:
-                    if unassigned[si] == 0:
-                        return False
-                    if unassigned[si] == 1:
-                        forced = next(j for j in members if values[j] == -1)
-                        pending.append((forced, 1))
-        return True
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            i = trail.pop()
-            for si in membership[i]:
-                ones[si] -= values[i]
-                unassigned[si] += 1
-            values[i] = -1
-
-    def dfs(start: int) -> None:
-        nonlocal nodes
-        i = start
-        while i < n and values[i] != -1:
-            i += 1
-        if i == n:
-            solutions.append(tuple(values))
-            return
-        for val in (0, 1):
-            nodes += 1
-            if nodes > budget:
-                raise ResourceLimitError(
-                    f"value-function search exceeded {budget} nodes"
-                )
-            mark = len(trail)
-            if propagate(i, val):
-                dfs(i + 1)
-            undo(mark)
-
-    dfs(0)
-    solutions.sort()
-    return [ValueFunction(labels, vec) for vec in solutions]
+def count_value_functions(s: Scenario, *, node_budget: int | None = None) -> int:
+    """The number of value functions, without building them."""
+    return sum(1 for _ in _search(s, canonical_outcomes(s), node_budget))
 
 
 def _check_labels(s: Scenario, labels: Iterable[str]) -> None:
@@ -217,11 +232,7 @@ def definite_intersection(
     """Value functions assigning 1 to every label in `definite`."""
     wanted = set(definite)
     _check_labels(s, wanted)
-    return [
-        vf
-        for vf in enumerate_value_functions(s, node_budget=node_budget)
-        if all(vf[a] == 1 for a in wanted)
-    ]
+    return _value_functions(s, node_budget, forced=wanted)
 
 
 def classical_bound(
@@ -229,26 +240,17 @@ def classical_bound(
 ) -> ClassicalBoundResult:
     """Exact maximum of sum(c_a * v(a)) over all value functions.
 
-    Labels missing from `coeffs` count as coefficient 0.  Ties are broken
-    by enumeration order.  Raises EmptyPolytopeError when the scenario has
-    no value functions at all.
+    Labels missing from `coeffs` count as coefficient 0.  Ties go to the
+    lexicographically first maximizer.  Raises EmptyPolytopeError when the
+    scenario has no value functions at all.
     """
     _check_labels(s, coeffs.keys())
-    vfs = enumerate_value_functions(s, node_budget=node_budget)
-    if not vfs:
-        raise EmptyPolytopeError("scenario has no value functions; bound undefined")
     weights = {a: parse_rational(c) for a, c in coeffs.items()}
-    best = None
-    best_vf = None
-    for vf in vfs:
-        total = sum(
-            (weights.get(a, Fraction(0)) for a, v in zip(vf.labels, vf.values) if v),
-            Fraction(0),
-        )
-        if best is None or total > best:
-            best = total
-            best_vf = vf
-    return ClassicalBoundResult(best, best_vf, len(vfs))
+    # integer gains keep the search's sums exact and cheap
+    scale = lcm(*(w.denominator for w in weights.values()))
+    gains = {a: w.numerator * (scale // w.denominator) for a, w in weights.items()}
+    count, best, maximizer = _best(s, gains, node_budget)
+    return ClassicalBoundResult(Fraction(best, scale), maximizer, count)
 
 
 def _check_state(s: Scenario, state: Mapping[str, Fraction]) -> dict[str, Fraction]:
@@ -319,12 +321,8 @@ def brute_force_antiset_bound(
     """
     wanted = set(members)
     _check_labels(s, wanted)
-    vfs = enumerate_value_functions(s, node_budget=node_budget)
-    if not vfs:
-        raise EmptyPolytopeError("scenario has no value functions; bound undefined")
-    return Fraction(
-        max(sum(v for a, v in zip(vf.labels, vf.values) if a in wanted) for vf in vfs)
-    )
+    _, best, _ = _best(s, dict.fromkeys(wanted, 1), node_budget)
+    return Fraction(best)
 
 
 def parse_state_json(doc) -> dict[str, Fraction]:

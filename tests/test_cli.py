@@ -59,6 +59,26 @@ def test_node_budget_exit_code(fixtures_dir):
     assert result.exit_code == 3
 
 
+def _one_big_context(tmp_path, n=1500):
+    labels = [f"o{i:04d}" for i in range(n)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"outcomes": labels, "contexts": [labels]}))
+    return str(path)
+
+
+def test_value_functions_count_only_on_deep_scenario(tmp_path):
+    result = dispatch(["value-functions", _one_big_context(tmp_path), "--count-only"])
+    assert result.exit_code == 0
+    assert result.payload == {"count": 1500}
+
+
+def test_node_budget_exit_code_on_deep_scenario(tmp_path):
+    result = dispatch(
+        ["value-functions", _one_big_context(tmp_path), "--count-only", "--node-budget", "100"]
+    )
+    assert result.exit_code == 3
+
+
 def test_classical_bound_ones(fixtures_dir):
     result = dispatch(
         ["classical-bound", fx(fixtures_dir, "klyachko.json"), "--coeffs", "ones"]

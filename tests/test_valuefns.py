@@ -16,6 +16,7 @@ from antictx.scenario import make_scenario
 from antictx.valuefns import (
     brute_force_antiset_bound,
     classical_bound,
+    count_value_functions,
     definite_intersection,
     enumerate_value_functions,
     is_noncontextual_state,
@@ -290,3 +291,120 @@ def test_embedded_antiset_structure_caps_the_count_at_one():
             for c in principal:
                 assert scenario_antidistinguishable(s, [a, b, c]).antidistinguishable
         assert brute_force_antiset_bound(s, w) <= 1
+
+
+# ------------------------------------- engine: every consumer against the
+# naive 2^n filter, on random scenarios mixing contexts, partial contexts
+# and outcomes in no set
+
+
+def _random_cases(seed, count, max_outcomes=10):
+    rng = random.Random(seed)
+    return rng, [random_scenario(rng, max_outcomes=max_outcomes) for _ in range(count)]
+
+
+def test_count_matches_naive_filter_on_random_scenarios():
+    _, cases = _random_cases(11, 150)
+    for s in cases:
+        assert count_value_functions(s) == len(naive_value_functions(s))
+
+
+def test_definite_intersection_matches_naive_filter_on_random_scenarios():
+    rng, cases = _random_cases(12, 150)
+    for s in cases:
+        labels = sorted(s.outcomes)
+        naive = naive_value_functions(s)
+        forced = rng.sample(labels, rng.randint(0, min(3, len(labels))))
+        expected = [
+            bits for bits in naive if all(bits[labels.index(a)] for a in forced)
+        ]
+        assert [vf.values for vf in definite_intersection(s, forced)] == expected
+
+
+def test_definite_intersection_of_two_outcomes_sharing_a_set_is_empty():
+    rng, cases = _random_cases(13, 150)
+    checked = 0
+    for s in cases:
+        shared = [m for m in s.all_sets() if len(m) >= 2]
+        if not shared:
+            continue
+        pair = rng.sample(sorted(rng.choice(shared)), 2)
+        assert definite_intersection(s, pair) == []
+        checked += 1
+    assert checked > 50
+
+
+def test_classical_bound_maximizer_is_lexicographically_first_on_random_scenarios():
+    rng, cases = _random_cases(14, 150)
+    for s in cases:
+        labels = sorted(s.outcomes)
+        naive = naive_value_functions(s)
+        # few distinct rationals, so that ties between maximizers are common
+        coeffs = {
+            a: Fraction(rng.randint(-1, 2), rng.choice((1, 2, 3)))
+            for a in labels
+            if rng.random() < 0.8
+        }
+        if not naive:
+            with pytest.raises(EmptyPolytopeError):
+                classical_bound(s, coeffs)
+            continue
+        values = [
+            sum((coeffs.get(a, 0) for a, bit in zip(labels, bits) if bit), Fraction(0))
+            for bits in naive
+        ]
+        best = max(values)
+        result = classical_bound(s, coeffs)
+        assert result.bound == best
+        assert result.maximizer.values == naive[values.index(best)]
+        assert result.value_function_count == len(naive)
+
+
+def test_brute_force_antiset_bound_matches_naive_filter_on_random_scenarios():
+    rng, cases = _random_cases(15, 150)
+    for s in cases:
+        labels = sorted(s.outcomes)
+        naive = naive_value_functions(s)
+        members = rng.sample(labels, rng.randint(1, len(labels)))
+        if not naive:
+            with pytest.raises(EmptyPolytopeError):
+                brute_force_antiset_bound(s, members)
+            continue
+        expected = max(
+            sum(bit for a, bit in zip(labels, bits) if a in members) for bits in naive
+        )
+        assert brute_force_antiset_bound(s, members) == expected
+
+
+def test_empty_context_admits_no_value_function():
+    s = make_scenario(["a", "b"], [[], ["a", "b"]])
+    assert naive_value_functions(s) == []
+    assert enumerate_value_functions(s) == []
+    assert count_value_functions(s) == 0
+    with pytest.raises(EmptyPolytopeError):
+        classical_bound(s, {"a": 1})
+
+
+def _one_big_context(n):
+    labels = [f"o{i:04d}" for i in range(n)]
+    return make_scenario(labels, [labels])
+
+
+def test_search_depth_does_not_grow_with_outcome_count():
+    s = _one_big_context(1500)
+    assert count_value_functions(s) == 1500
+    vfs = enumerate_value_functions(s)
+    assert len(vfs) == 1500
+    assert vfs[0].support() == ("o1499",) and vfs[-1].support() == ("o0000",)
+    assert classical_bound(s, {"o0007": 1}).value_function_count == 1500
+    # outcomes in no set branch 0/1 one after another
+    free = make_scenario([f"o{i:04d}" for i in range(1500)], [], [])
+    with pytest.raises(ResourceLimitError):
+        count_value_functions(free, node_budget=10_000)
+
+
+def test_count_obeys_node_budget():
+    with pytest.raises(ResourceLimitError):
+        count_value_functions(generate_scenario("klyachko"), node_budget=2)
+    with pytest.raises(ResourceLimitError):
+        count_value_functions(_one_big_context(1500), node_budget=100)
