@@ -24,15 +24,14 @@ from .antiset import (
 )
 from .ensembles import FamilySpec, generate_scenario, generate_states
 from .quantum import (
+    TOLERANCE,
     DensityOperator,
     GramData,
     PureStateSet,
-    default_tolerance,
     frame_operator,
     gram,
     quantum_value,
     scenario_from_states,
-    set_default_tolerance,
 )
 from .ratlp import (
     LinearProgram,

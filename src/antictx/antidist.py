@@ -24,8 +24,7 @@ while still possessing definite value functions.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import IO, Iterable
 
 import numpy as np
@@ -36,8 +35,8 @@ from .errors import (
     ScenarioParseError,
     UnknownLabelError,
 )
-from .quantum import GramData, PureStateSet, default_tolerance, gram, load_states
-from .scenario import Scenario
+from .quantum import TOLERANCE, GramData, PureStateSet, gram, states_from_doc
+from .scenario import Scenario, read_document
 
 __all__ = [
     "TripleOverlaps",
@@ -53,21 +52,18 @@ __all__ = [
 ]
 
 
-def _tol(tol: float | None) -> float:
-    return default_tolerance() if tol is None else float(tol)
-
-
 @dataclass(frozen=True)
 class TripleOverlaps:
     """Squared overlaps of a triple: x1 = |<a2|a3>|^2, x2 = |<a1|a3>|^2,
-    x3 = |<a1|a2>|^2.  Entries are clamped to [0, 1] on construction."""
+    x3 = |<a1|a2>|^2.  Entries within `tol` of [0, 1] are clamped to it on
+    construction; entries further out raise OverlapRangeError."""
 
     x1: float
     x2: float
     x3: float
+    tol: InitVar[float] = TOLERANCE
 
-    def __post_init__(self):
-        tol = _tol(None)
+    def __post_init__(self, tol):
         for name, x in (("x1", self.x1), ("x2", self.x2), ("x3", self.x3)):
             if x < -tol or x > 1.0 + tol:
                 raise OverlapRangeError(f"{name} = {x!r} lies outside [0, 1]")
@@ -76,12 +72,14 @@ class TripleOverlaps:
         object.__setattr__(self, "x3", min(1.0, max(0.0, self.x3)))
 
     @staticmethod
-    def from_gram(g: GramData, a: str, b: str, c: str) -> "TripleOverlaps":
-        return TripleOverlaps(g.overlap(b, c), g.overlap(a, c), g.overlap(a, b))
+    def from_gram(g: GramData, a: str, b: str, c: str, tol: float = TOLERANCE) -> "TripleOverlaps":
+        return TripleOverlaps(g.overlap(b, c), g.overlap(a, c), g.overlap(a, b), tol)
 
     @staticmethod
-    def from_states(states: PureStateSet, a: str, b: str, c: str) -> "TripleOverlaps":
-        return TripleOverlaps.from_gram(gram(states.subset([a, b, c])), a, b, c)
+    def from_states(
+        states: PureStateSet, a: str, b: str, c: str, tol: float = TOLERANCE
+    ) -> "TripleOverlaps":
+        return TripleOverlaps.from_gram(gram(states.subset([a, b, c])), a, b, c, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -93,13 +91,12 @@ class AntidistVerdict:
     boundary: bool  # quadratic condition holds with equality within tolerance
 
 
-def triple_antidistinguishable(x: TripleOverlaps, tol: float | None = None) -> AntidistVerdict:
+def triple_antidistinguishable(x: TripleOverlaps, tol: float = TOLERANCE) -> AntidistVerdict:
     """Decide antidistinguishability of three pure states from overlaps.
 
     The sum condition is strict (margin > tol); the quadratic condition is
     accepted down to -tol so boundary families count as antidistinguishable.
     """
-    tol = _tol(tol)
     total = x.x1 + x.x2 + x.x3
     margin_strict = 1.0 - total
     margin_quadratic = (total - 1.0) ** 2 - 4.0 * x.x1 * x.x2 * x.x3
@@ -112,9 +109,8 @@ def triple_antidistinguishable(x: TripleOverlaps, tol: float | None = None) -> A
     )
 
 
-def corollary_check(x: TripleOverlaps, tol: float | None = None) -> bool:
+def corollary_check(x: TripleOverlaps, tol: float = TOLERANCE) -> bool:
     """Sufficient condition only: every squared overlap at most 1/4."""
-    tol = _tol(tol)
     return max(x.x1, x.x2, x.x3) <= 0.25 + tol
 
 
@@ -142,10 +138,9 @@ class CertificateReport:
 
 
 def verify_certificate(
-    targets: PureStateSet, cert: AntidistCertificate, tol: float | None = None
+    targets: PureStateSet, cert: AntidistCertificate, tol: float = TOLERANCE
 ) -> CertificateReport:
     """Check an explicit certificate against its defining equations."""
-    tol = _tol(tol)
     n = len(cert.targets)
     d = cert.basis.dimension
     if targets.dimension != d:
@@ -243,26 +238,21 @@ def scenario_antidistinguishable(s: Scenario, members: Iterable[str]) -> Scenari
     return ScenarioAntidistVerdict(antidistinguishable=False)
 
 
-def load_certificate(source: bytes | str | IO) -> tuple[PureStateSet, AntidistCertificate]:
+def load_certificate(
+    source: bytes | str | IO, tol: float = TOLERANCE
+) -> tuple[PureStateSet, AntidistCertificate]:
     """Certificate JSON: the vector-set schema plus a "targets" label list.
 
     States named in "targets" (in order) are the targets; the remaining
     states, in file order, form the basis.  Returns (targets, certificate).
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    try:
-        doc = json.loads(source)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ScenarioParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "targets" not in doc:
+    doc = read_document(source)
+    if "targets" not in doc:
         raise ScenarioParseError("certificate document needs a 'targets' key")
     target_labels = doc.pop("targets")
     if not isinstance(target_labels, list) or not all(isinstance(x, str) for x in target_labels):
         raise ScenarioParseError("'targets' must be a list of labels")
-    states = load_states(json.dumps(doc))
+    states = states_from_doc(doc, tol)
     target_set = set(target_labels)
     unknown = target_set - set(states.labels)
     if unknown:

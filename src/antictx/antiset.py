@@ -34,8 +34,9 @@ from .errors import (
     NotABasisError,
     ScenarioParseError,
 )
-from .quantum import DensityOperator, PureStateSet, default_tolerance, gram, quantum_value
+from .quantum import TOLERANCE, DensityOperator, PureStateSet, gram, quantum_value
 from .ratlp import format_rational, parse_rational
+from .scenario import read_document
 
 __all__ = [
     "PairwiseAntiset",
@@ -54,10 +55,6 @@ __all__ = [
 ]
 
 TripleLogEntry = tuple[str, str, str, AntidistVerdict]
-
-
-def _tol(tol: float | None) -> float:
-    return default_tolerance() if tol is None else float(tol)
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,7 @@ def _checked_triples(
 ) -> tuple[TripleLogEntry, ...]:
     log = []
     for a, b, c in triples:
-        verdict = triple_antidistinguishable(TripleOverlaps.from_gram(g, a, b, c), tol)
+        verdict = triple_antidistinguishable(TripleOverlaps.from_gram(g, a, b, c, tol=tol), tol)
         if not verdict.antidistinguishable:
             raise FailedTripleError((a, b, c), verdict)
         log.append((a, b, c, verdict))
@@ -113,14 +110,13 @@ def verify_strong_antiset(
     states: PureStateSet,
     members: Iterable[str],
     principal: Sequence[str],
-    tol: float | None = None,
+    tol: float = TOLERANCE,
 ) -> PairwiseAntiset:
     """Check every (pair from W) x (principal basis element) triple.
 
     Fails fast with FailedTripleError on the first triple (in lexicographic
     order) that is not antidistinguishable.
     """
-    tol = _tol(tol)
     w = tuple(sorted(set(members)))
     principal = tuple(principal)
     if len(w) < 2:
@@ -141,10 +137,9 @@ def verify_weak_antiset(
     states: PureStateSet,
     members: Iterable[str],
     principal: str,
-    tol: float | None = None,
+    tol: float = TOLERANCE,
 ) -> PairwiseAntiset:
     """Check every pair from W against the single principal outcome."""
-    tol = _tol(tol)
     w = tuple(sorted(set(members)))
     if len(w) < 2:
         raise ValueError("an antiset needs at least two members")
@@ -161,14 +156,13 @@ def find_strong_antisets(
     states: PureStateSet,
     candidate_pool: Iterable[str],
     principal: Sequence[str],
-    tol: float | None = None,
+    tol: float = TOLERANCE,
 ) -> list[PairwiseAntiset]:
     """Maximal strong antisets within a candidate pool.
 
     Builds the pairwise-compatibility graph (an edge when all basis triples
     pass) and returns its maximal cliques of size >= 2 in canonical order.
     """
-    tol = _tol(tol)
     pool = tuple(sorted(set(candidate_pool)))
     principal = tuple(principal)
     overlap = set(pool) & set(principal)
@@ -179,7 +173,9 @@ def find_strong_antisets(
 
     def compatible(a: str, b: str) -> bool:
         return all(
-            triple_antidistinguishable(TripleOverlaps.from_gram(g, a, b, c), tol).antidistinguishable
+            triple_antidistinguishable(
+                TripleOverlaps.from_gram(g, a, b, c, tol=tol), tol
+            ).antidistinguishable
             for c in principal
         )
 
@@ -322,14 +318,13 @@ def evaluate_inequality(
     ineq: NoncontextualityInequality,
     states: PureStateSet,
     rho: DensityOperator,
-    tol: float | None = None,
+    tol: float = TOLERANCE,
 ) -> EvaluationReport:
     """Evaluate the quantum left-hand side against the classical bound.
 
     `violated` requires both lhs > bound + tol and every side constraint
     holding within tolerance.
     """
-    tol = _tol(tol)
     missing = sorted(
         {label for label, _ in ineq.coefficients} - set(states.labels)
     )
@@ -365,16 +360,9 @@ def inequality_to_json(ineq: NoncontextualityInequality) -> bytes:
 
 
 def load_inequality(source: bytes | str | IO) -> NoncontextualityInequality:
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    try:
-        doc = json.loads(source)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ScenarioParseError(f"not valid JSON: {exc}") from exc
+    doc = read_document(source)
     expected = {"coefficients", "bound", "kind", "side_constraints", "provenance"}
-    if not isinstance(doc, dict) or set(doc) - expected:
+    if set(doc) - expected:
         raise ScenarioParseError(f"inequality document keys must be within {sorted(expected)}")
     try:
         coefficients = tuple(
@@ -391,5 +379,5 @@ def load_inequality(source: bytes | str | IO) -> NoncontextualityInequality:
             side_constraints=side,
             provenance=doc.get("provenance", ""),
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ScenarioParseError(f"malformed inequality document: {exc}") from exc

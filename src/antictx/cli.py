@@ -70,28 +70,24 @@ def _result(exit_code: int, payload, text: str | None = None) -> CommandResult:
 def _parse_coeffs(arg: str, labels) -> dict[str, Fraction]:
     if arg == "ones":
         return {a: Fraction(1) for a in labels}
-    doc = json.loads(_read(arg).decode("utf-8"))
-    if not isinstance(doc, dict) or set(doc) != {"coeffs"} or not isinstance(doc["coeffs"], dict):
+    doc = scenario.read_document(_read(arg))
+    if set(doc) != {"coeffs"} or not isinstance(doc["coeffs"], dict):
         raise scenario.ScenarioParseError('coefficients document must be {"coeffs": {label: value}}')
     return {a: parse_rational(v) for a, v in doc["coeffs"].items()}
 
 
-def _parse_rho(spec: str | None, states: quantum.PureStateSet) -> DensityOperator:
+def _parse_rho(spec: str | None, states: quantum.PureStateSet, tol: float) -> DensityOperator:
     if spec is None or spec == "mixed":
         return DensityOperator.maximally_mixed(states.dimension)
     if spec.startswith("label:"):
         return DensityOperator.from_pure(states.vector(spec[len("label:"):]))
-    doc = json.loads(_read(spec).decode("utf-8"))
-    if not isinstance(doc, dict) or "matrix" not in doc:
-        raise scenario.ScenarioParseError('density document must be {"matrix": [[[re, im], ...], ...]}')
-    import numpy as np
-
-    matrix = np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
-    return DensityOperator(matrix.shape[0], matrix)
+    return quantum.load_density(_read(spec), tol)
 
 
-def _scenario_doc(s) -> dict:
-    return json.loads(scenario.save_scenario(s).decode("utf-8"))
+def _document(blob: bytes) -> CommandResult:
+    """Print one serialized document; as text it is the document itself."""
+    text = blob.decode("utf-8").rstrip("\n")
+    return _result(EXIT_OK, json.loads(text), text)
 
 
 # ---------------------------------------------------------------- handlers
@@ -139,16 +135,15 @@ def _cmd_state_bound(args, ctx) -> CommandResult:
     result = ratlp.state_optimize(s, coeffs)
     payload = {"status": result.status}
     if result.status == "optimal":
-        lp_vars = ratlp.build_state_polytope(s).variables
         payload["value"] = format_rational(result.value)
-        payload["point"] = {a: format_rational(v) for a, v in zip(lp_vars, result.point)}
+        payload["point"] = {a: format_rational(v) for a, v in zip(s.outcomes, result.point)}
         return _result(EXIT_OK, payload)
     return _result(EXIT_NEGATIVE, payload)
 
 
 def _cmd_membership(args, ctx) -> CommandResult:
     s = scenario.load_scenario(_read(args.scenario))
-    state = valuefns.parse_state_json(json.loads(_read(args.state).decode("utf-8")))
+    state = valuefns.parse_state_json(scenario.read_document(_read(args.state)))
     verdict = valuefns.is_noncontextual_state(s, state, node_budget=ctx["node_budget"])
     if verdict.is_member:
         weights = [
@@ -160,11 +155,8 @@ def _cmd_membership(args, ctx) -> CommandResult:
 
 
 def _cmd_quantum_scenario(args, ctx) -> CommandResult:
-    states = quantum.load_states(_read(args.vectors))
-    tol = args.tol if args.tol is not None else ctx["tolerance"]
-    s = quantum.scenario_from_states(states, tol)
-    doc = _scenario_doc(s)
-    return _result(EXIT_OK, doc, scenario.save_scenario(s).decode("utf-8").rstrip("\n"))
+    states = quantum.load_states(_read(args.vectors), ctx["tolerance"])
+    return _document(scenario.save_scenario(quantum.scenario_from_states(states, ctx["tolerance"])))
 
 
 def _verdict_payload(verdict: antidist.AntidistVerdict, extra: dict | None = None) -> dict:
@@ -191,7 +183,7 @@ def _cmd_check_anti(args, ctx) -> CommandResult:
         parts = args.overlaps.split(",")
         if len(parts) != 3:
             raise scenario.ScenarioParseError("--overlaps needs three comma-separated values")
-        x = antidist.TripleOverlaps(*(float(parse_rational(p)) for p in parts))
+        x = antidist.TripleOverlaps(*(float(parse_rational(p)) for p in parts), tol)
         verdict = antidist.triple_antidistinguishable(x, tol)
         payload = _verdict_payload(verdict, {"sufficient_condition": antidist.corollary_check(x, tol)})
         return _result(EXIT_OK if verdict.antidistinguishable else EXIT_NEGATIVE, payload)
@@ -201,15 +193,15 @@ def _cmd_check_anti(args, ctx) -> CommandResult:
         labels = args.triple.split(",")
         if len(labels) != 3:
             raise scenario.ScenarioParseError("--triple needs three comma-separated labels")
-        states = quantum.load_states(_read(args.vectors))
-        x = antidist.TripleOverlaps.from_states(states, *labels)
+        states = quantum.load_states(_read(args.vectors), tol)
+        x = antidist.TripleOverlaps.from_states(states, *labels, tol=tol)
         verdict = antidist.triple_antidistinguishable(x, tol)
         payload = _verdict_payload(
             verdict,
             {"overlaps": [x.x1, x.x2, x.x3], "sufficient_condition": antidist.corollary_check(x, tol)},
         )
         return _result(EXIT_OK if verdict.antidistinguishable else EXIT_NEGATIVE, payload)
-    targets, cert = antidist.load_certificate(_read(args.certificate))
+    targets, cert = antidist.load_certificate(_read(args.certificate), tol)
     report = antidist.verify_certificate(targets, cert, tol)
     payload = {
         "valid": report.valid,
@@ -238,7 +230,7 @@ def _require(args, names: list[str]) -> None:
 
 def _verify_antiset(args, ctx) -> antiset.PairwiseAntiset:
     _require(args, ["vectors", "members", "principal"])
-    states = quantum.load_states(_read(args.vectors))
+    states = quantum.load_states(_read(args.vectors), ctx["tolerance"])
     members = args.members.split(",")
     principal = args.principal.split(",")
     if len(principal) == 1:
@@ -257,7 +249,7 @@ def _cmd_antiset(args, ctx) -> CommandResult:
         payload = {"verified": True}
         payload.update(_antiset_payload(aset))
         return _result(EXIT_OK, payload)
-    states = quantum.load_states(_read(args.vectors))
+    states = quantum.load_states(_read(args.vectors), ctx["tolerance"])
     found = antiset.find_strong_antisets(
         states, args.members.split(","), args.principal.split(","), ctx["tolerance"]
     )
@@ -267,9 +259,7 @@ def _cmd_antiset(args, ctx) -> CommandResult:
 def _cmd_inequality(args, ctx) -> CommandResult:
     if args.action == "emit":
         aset = _verify_antiset(args, ctx)
-        ineq = antiset.inequality_from_antiset(aset)
-        blob = antiset.inequality_to_json(ineq).decode("utf-8")
-        return _result(EXIT_OK, json.loads(blob), blob.rstrip("\n"))
+        return _document(antiset.inequality_to_json(antiset.inequality_from_antiset(aset)))
     if args.action == "augment":
         _require(args, ["ineq"])
         ineq = antiset.load_inequality(_read(args.ineq))
@@ -289,13 +279,12 @@ def _cmd_inequality(args, ctx) -> CommandResult:
             ineq = antiset.add_context_normalization(ineq, args.add_context.split(","))
         else:
             ineq = antiset.add_constrained_outcome(ineq, args.add_outcome)
-        blob = antiset.inequality_to_json(ineq).decode("utf-8")
-        return _result(EXIT_OK, json.loads(blob), blob.rstrip("\n"))
+        return _document(antiset.inequality_to_json(ineq))
     # evaluate
     _require(args, ["ineq", "vectors"])
     ineq = antiset.load_inequality(_read(args.ineq))
-    states = quantum.load_states(_read(args.vectors))
-    rho = _parse_rho(args.rho, states)
+    states = quantum.load_states(_read(args.vectors), ctx["tolerance"])
+    rho = _parse_rho(args.rho, states, ctx["tolerance"])
     report = antiset.evaluate_inequality(ineq, states, rho, ctx["tolerance"])
     payload = {
         "lhs": report.lhs,
@@ -310,12 +299,8 @@ def _cmd_inequality(args, ctx) -> CommandResult:
 def _cmd_generate(args, ctx) -> CommandResult:
     name = args.family
     if name in ensembles.SCENARIO_NAMES:
-        s = ensembles.generate_scenario(name, args.n)
-        return _result(EXIT_OK, _scenario_doc(s), scenario.save_scenario(s).decode("utf-8").rstrip("\n"))
-    spec = FamilySpec(name, args.d, args.subset)
-    states = ensembles.generate_states(spec)
-    doc = json.loads(quantum.save_states(states).decode("utf-8"))
-    return _result(EXIT_OK, doc, quantum.save_states(states).decode("utf-8").rstrip("\n"))
+        return _document(scenario.save_scenario(ensembles.generate_scenario(name, args.n)))
+    return _document(quantum.save_states(ensembles.generate_states(FamilySpec(name, args.d, args.subset))))
 
 
 # ------------------------------------------------------------- reproduce
@@ -594,9 +579,16 @@ def _cmd_reproduce(args, ctx) -> CommandResult:
 # ---------------------------------------------------------------- parser
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:  # also rejects nan, which would flip verdicts silently
+        raise argparse.ArgumentTypeError(f"tolerance must lie strictly between 0 and 1, got {text}")
+    return value
+
+
 def _common_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
+    parent.add_argument("--tolerance", type=_tolerance, default=argparse.SUPPRESS)
     parent.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
     parent.add_argument("--node-budget", type=int, default=argparse.SUPPRESS)
     return parent
@@ -633,7 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantum-scenario", parents=[parent], help="scenario from a vector set")
     p.add_argument("vectors")
-    p.add_argument("--tol", type=float, default=None, help="orthogonality tolerance")
     p.set_defaults(handler=_cmd_quantum_scenario)
 
     p = sub.add_parser("check-anti", parents=[parent], help="antidistinguishability checks")
@@ -686,7 +677,7 @@ def dispatch(argv: list[str]) -> CommandResult:
     except SystemExit as exc:
         return CommandResult(exc.code if exc.code else EXIT_OK)
     ctx = {
-        "tolerance": getattr(args, "tolerance", quantum.default_tolerance()),
+        "tolerance": getattr(args, "tolerance", quantum.TOLERANCE),
         "format": getattr(args, "format", "text"),
         "node_budget": getattr(args, "node_budget", None),
     }
@@ -703,7 +694,7 @@ def dispatch(argv: list[str]) -> CommandResult:
             ],
         }
         result = CommandResult(EXIT_USAGE, payload, f"error: {exc}")
-    except (AntictxError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (AntictxError, OSError, ValueError) as exc:
         result = CommandResult(EXIT_USAGE, {"error": type(exc).__name__, "message": str(exc)},
                                f"error: {exc}")
     result.fmt = ctx["format"]

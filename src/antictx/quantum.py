@@ -8,16 +8,18 @@ boundary between the two is the orthogonality decision, which is guarded
 by a tolerance band so that a near-miss overlap raises instead of silently
 misclassifying.
 
-The global default tolerance is 1e-9 and can be changed with
-`set_default_tolerance`; every construction in the source material has
-overlaps that are exactly 0 or at least 1/9, so the default separates
-cleanly.
+Every check that compares floats takes its tolerance as an argument, with
+the immutable default `TOLERANCE` = 1e-9; every construction in the source
+material has overlaps that are exactly 0 or at least 1/9, so the default
+separates cleanly.  Vector norms are checked where vectors enter
+(`PureStateSet.from_pairs`, `load_states`), so subsets and unions of a
+checked set are not checked again.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -30,44 +32,31 @@ from .errors import (
     ToleranceAmbiguityError,
     UnknownLabelError,
 )
-from .scenario import Scenario, make_scenario
+from .scenario import Scenario, make_scenario, read_document
 
 __all__ = [
     "PureStateSet",
     "DensityOperator",
     "GramData",
-    "default_tolerance",
-    "set_default_tolerance",
+    "TOLERANCE",
     "gram",
     "frame_operator",
     "quantum_value",
     "scenario_from_states",
+    "states_from_doc",
     "load_states",
+    "load_density",
     "save_states",
 ]
 
-_DEFAULT_TOLERANCE = 1e-9
-
-
-def default_tolerance() -> float:
-    return _DEFAULT_TOLERANCE
-
-
-def set_default_tolerance(value: float) -> None:
-    """Set the package-wide tolerance for norm/orthogonality/frame checks."""
-    global _DEFAULT_TOLERANCE
-    if value <= 0:
-        raise ValueError("tolerance must be positive")
-    _DEFAULT_TOLERANCE = float(value)
-
-
-def _tol(tol: float | None) -> float:
-    return _DEFAULT_TOLERANCE if tol is None else float(tol)
+# the default of every float check: norms, orthogonality, density
+# matrices, overlap ranges and the antidistinguishability criterion
+TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class PureStateSet:
-    """Labeled unit vectors in C^d."""
+    """Labeled unit vectors in C^d (`from_pairs` checks the norms)."""
 
     dimension: int
     labels: tuple[str, ...]
@@ -81,20 +70,24 @@ class PureStateSet:
                 f"expected vectors of shape {(len(self.labels), self.dimension)}, "
                 f"got {self.vectors.shape}"
             )
-        norms = np.linalg.norm(self.vectors, axis=1)
-        bad = np.abs(norms - 1.0) > _tol(None)
-        if bad.any():
-            label = self.labels[int(np.argmax(bad))]
-            raise ValueError(f"state {label!r} is not unit-norm (|v| = {norms[bad][0]!r})")
 
     @staticmethod
-    def from_pairs(dimension: int, pairs: Iterable[tuple[str, Sequence[complex]]]) -> "PureStateSet":
+    def from_pairs(
+        dimension: int, pairs: Iterable[tuple[str, Sequence[complex]]], tol: float = TOLERANCE
+    ) -> "PureStateSet":
+        """Labeled vectors, each of norm 1 within `tol`."""
         labels, rows = [], []
         for label, vec in pairs:
             labels.append(label)
             rows.append(np.asarray(vec, dtype=complex))
         vectors = np.array(rows, dtype=complex) if rows else np.zeros((0, dimension), dtype=complex)
-        return PureStateSet(dimension, tuple(labels), vectors)
+        states = PureStateSet(dimension, tuple(labels), vectors)
+        norms = np.linalg.norm(vectors, axis=1)
+        bad = np.abs(norms - 1.0) > tol
+        if bad.any():
+            label = labels[int(np.argmax(bad))]
+            raise ValueError(f"state {label!r} is not unit-norm (|v| = {norms[bad][0]!r})")
+        return states
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -128,12 +121,12 @@ class DensityOperator:
 
     dimension: int
     matrix: np.ndarray
+    tol: InitVar[float] = TOLERANCE
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         m = self.matrix
         if m.shape != (self.dimension, self.dimension):
             raise DimensionMismatchError(f"density matrix must be {self.dimension}x{self.dimension}")
-        tol = _tol(None)
         if np.abs(m - m.conj().T).max() > tol:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > tol or abs(np.trace(m).imag) > tol:
@@ -182,14 +175,13 @@ def gram(states: PureStateSet) -> GramData:
 
 
 def frame_operator(
-    states: PureStateSet, tol: float | None = None
+    states: PureStateSet, tol: float = TOLERANCE
 ) -> tuple[np.ndarray, float | None]:
     """Sum of projectors onto the states, plus a proportionality verdict.
 
     Returns (F, lam) with lam = trace(F)/d when F is lam*I within
     tolerance entry-wise, else (F, None).
     """
-    tol = _tol(tol)
     # vectors are rows, so sum_a |a><a| has entries sum_a v_a[i] conj(v_a[j])
     f = states.vectors.T @ states.vectors.conj()
     lam = np.trace(f).real / states.dimension
@@ -213,7 +205,7 @@ def quantum_value(
     return total
 
 
-def scenario_from_states(states: PureStateSet, tol: float | None = None) -> Scenario:
+def scenario_from_states(states: PureStateSet, tol: float = TOLERANCE) -> Scenario:
     """The contextuality scenario generated by a set of rays.
 
     Orthogonality (squared overlap <= tol) defines a graph; maximal cliques
@@ -223,7 +215,6 @@ def scenario_from_states(states: PureStateSet, tol: float | None = None) -> Scen
     ToleranceAmbiguityError when any overlap falls in (tol, 10*tol), where
     the orthogonality cut would be unsafe.
     """
-    tol = _tol(tol)
     if states.dimension < 2:
         raise ValueError("scenario generation needs dimension >= 2")
     g = gram(states)
@@ -262,24 +253,25 @@ def scenario_from_states(states: PureStateSet, tol: float | None = None) -> Scen
 _STATES_KEYS = {"dimension", "states"}
 
 
-def load_states(source: bytes | str | IO) -> PureStateSet:
-    """Parse the vector-set JSON document.
+def _complex_pairs(value, n: int, what: str) -> list[complex]:
+    if not isinstance(value, list) or len(value) != n or not all(
+        isinstance(c, list) and len(c) == 2 and all(type(x) in (int, float) for x in c)
+        for c in value
+    ):
+        raise ScenarioParseError(f"{what} needs {n} [re, im] number pairs")
+    return [complex(re, im) for re, im in value]
+
+
+def states_from_doc(doc: dict, tol: float = TOLERANCE) -> PureStateSet:
+    """The state set of a parsed vector-set document.
 
     Schema: {"dimension": d, "states": [{"label": str,
     "components": [[re, im], ...]}, ...]}.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    try:
-        doc = json.loads(source)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ScenarioParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or set(doc) - _STATES_KEYS:
+    if set(doc) - _STATES_KEYS:
         raise ScenarioParseError("vector-set document must have keys 'dimension' and 'states'")
     dimension = doc.get("dimension")
-    if not isinstance(dimension, int) or dimension < 1:
+    if type(dimension) is not int or dimension < 1:
         raise ScenarioParseError("'dimension' must be a positive integer")
     entries = doc.get("states")
     if not isinstance(entries, list):
@@ -288,15 +280,26 @@ def load_states(source: bytes | str | IO) -> PureStateSet:
     for entry in entries:
         if not isinstance(entry, dict) or set(entry) != {"label", "components"}:
             raise ScenarioParseError("each state needs exactly 'label' and 'components'")
-        comps = entry["components"]
-        if len(comps) != dimension or not all(
-            isinstance(c, list) and len(c) == 2 for c in comps
-        ):
-            raise ScenarioParseError(
-                f"state {entry.get('label')!r} needs {dimension} [re, im] component pairs"
-            )
-        pairs.append((entry["label"], [complex(re, im) for re, im in comps]))
-    return PureStateSet.from_pairs(dimension, pairs)
+        label = entry["label"]
+        if not isinstance(label, str):
+            raise ScenarioParseError(f"state label {label!r} is not a string")
+        pairs.append((label, _complex_pairs(entry["components"], dimension, f"state {label!r}")))
+    return PureStateSet.from_pairs(dimension, pairs, tol)
+
+
+def load_states(source: bytes | str | IO, tol: float = TOLERANCE) -> PureStateSet:
+    """Parse a vector-set document (schema in `states_from_doc`)."""
+    return states_from_doc(read_document(source), tol)
+
+
+def load_density(source: bytes | str | IO, tol: float = TOLERANCE) -> DensityOperator:
+    """Parse {"matrix": [[[re, im], ...], ...]}, a d x d density matrix."""
+    rows = read_document(source).get("matrix")
+    if not isinstance(rows, list) or not rows:
+        raise ScenarioParseError('density document must be {"matrix": [[[re, im], ...], ...]}')
+    d = len(rows)
+    matrix = np.array([_complex_pairs(row, d, f"density matrix row {i}") for i, row in enumerate(rows)])
+    return DensityOperator(d, matrix, tol)
 
 
 def save_states(states: PureStateSet) -> bytes:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, UnknownLabelError
-from .scenario import Scenario, canonical_outcomes
+from .scenario import Scenario, check_members_known
 
 __all__ = [
     "Rational",
@@ -48,7 +48,8 @@ def parse_rational(value) -> Fraction:
     """Accept ints, 'p/q' strings, decimal strings, and decimal floats.
 
     Floats are read through their shortest decimal representation, so
-    0.1 means 1/10 rather than its binary expansion.
+    0.1 means 1/10 rather than its binary expansion.  Anything else, a zero
+    denominator included, raises ValueError.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
@@ -57,7 +58,10 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {value!r}") from None
     raise ValueError(f"not a rational: {value!r}")
 
 
@@ -298,11 +302,9 @@ def build_state_polytope(s: Scenario) -> LinearProgram:
     1, partial-context sums bounded by 1, and every coordinate lies in
     [0, 1].
     """
-    labels = canonical_outcomes(s)
+    check_members_known(s)
+    labels = s.outcomes
     index = {a: j for j, a in enumerate(labels)}
-    stray = sorted({a for m in s.all_sets() for a in m} - set(labels))
-    if stray:
-        raise UnknownLabelError(f"scenario sets mention unknown outcomes: {stray}")
     rows = []
     for members in s.contexts:
         coeffs = [_ZERO] * len(labels)

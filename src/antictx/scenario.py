@@ -18,18 +18,19 @@ import unicodedata
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple
 
-from .errors import ScenarioParseError, ScenarioValidationError
+from .errors import ScenarioParseError, ScenarioValidationError, UnknownLabelError
 
 __all__ = [
     "Scenario",
     "ValidationReport",
     "Finding",
     "make_scenario",
+    "check_members_known",
     "validate_scenario",
+    "read_document",
     "parse_scenario",
     "load_scenario",
     "save_scenario",
-    "canonical_outcomes",
 ]
 
 
@@ -95,9 +96,12 @@ def make_scenario(
     )
 
 
-def canonical_outcomes(s: Scenario) -> tuple[str, ...]:
-    """Outcome labels in canonical (lexicographic) order."""
-    return tuple(sorted(s.outcomes))
+def check_members_known(s: Scenario) -> None:
+    """Raise UnknownLabelError when a (partial) context names an outcome
+    missing from the outcome list."""
+    stray = sorted({a for m in s.all_sets() for a in m} - s.outcome_set)
+    if stray:
+        raise UnknownLabelError(f"scenario sets mention unknown outcomes: {stray}")
 
 
 def _label_ok(label: str) -> bool:
@@ -169,22 +173,30 @@ def _parse_label_list(value, where: str) -> list[str]:
     return value
 
 
+def read_document(source: bytes | str | IO) -> dict:
+    """The JSON object in UTF-8 bytes, a string or a readable file.
+
+    Every document reader of the package starts here.  Raises
+    ScenarioParseError when the input is not JSON or not an object.
+    """
+    if hasattr(source, "read"):
+        source = source.read()
+    try:
+        doc = json.loads(source.decode("utf-8") if isinstance(source, bytes) else source)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ScenarioParseError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ScenarioParseError("top level must be an object")
+    return doc
+
+
 def parse_scenario(source: bytes | str | IO) -> Scenario:
     """Parse a scenario document without validating its structure.
 
     Raises ScenarioParseError on malformed input.  The result may violate
     the structural rules; run `validate_scenario` to find out.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    try:
-        doc = json.loads(source)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ScenarioParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioParseError("top level must be an object")
+    doc = read_document(source)
     unknown = set(doc) - _SCENARIO_KEYS
     if unknown:
         raise ScenarioParseError(f"unknown top-level keys: {sorted(unknown)}")

@@ -36,7 +36,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .ratlp import parse_rational
-from .scenario import Scenario, canonical_outcomes
+from .scenario import Scenario, check_members_known
 
 __all__ = [
     "ValueFunction",
@@ -112,15 +112,13 @@ class MembershipVerdict:
         return self.status == "member"
 
 
-def _search(s: Scenario, labels, node_budget, forced=(), gains=None):
+def _search(s: Scenario, node_budget, forced=(), gains=None):
     """Yield (ones, weight) for each value function setting `forced` to 1:
-    its mask over `labels` and the sum of the integer `gains` of its 1s."""
+    its mask over `s.outcomes` and the sum of the integer `gains` of its 1s."""
+    check_members_known(s)
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    n = len(labels)
-    bit = {a: 1 << (n - 1 - i) for i, a in enumerate(labels)}
-    stray = sorted({a for m in s.all_sets() for a in m} - bit.keys())
-    if stray:
-        raise UnknownLabelError(f"scenario sets mention unknown outcomes: {stray}")
+    n = len(s.outcomes)
+    bit = {a: 1 << (n - 1 - i) for i, a in enumerate(s.outcomes)}
     # an outcome set to 1 zeroes every other member of its (partial) contexts
     masks = [sum(bit[a] for a in members) for members in s.all_sets()]
     zeroed = dict.fromkeys(bit.values(), 0)
@@ -183,25 +181,23 @@ def _value_function(labels: tuple[str, ...], ones: int) -> ValueFunction:
 
 
 def _value_functions(s: Scenario, node_budget, forced=()) -> list[ValueFunction]:
-    labels = canonical_outcomes(s)
-    vfs = sorted(ones for ones, _ in _search(s, labels, node_budget, forced))
+    vfs = sorted(ones for ones, _ in _search(s, node_budget, forced))
     for i, ones in enumerate(vfs):  # in place: each mask is freed as it is replaced
-        vfs[i] = _value_function(labels, ones)
+        vfs[i] = _value_function(s.outcomes, ones)
     return vfs
 
 
 def _best(s: Scenario, gains: Mapping[str, int], node_budget):
     """Count the value functions and find the lexicographically first one
     of maximum weight, without building the list."""
-    labels = canonical_outcomes(s)
     count, best, best_ones = 0, None, 0
-    for ones, weight in _search(s, labels, node_budget, gains=gains):
+    for ones, weight in _search(s, node_budget, gains=gains):
         count += 1
         if best is None or weight > best or (weight == best and ones < best_ones):
             best, best_ones = weight, ones
     if not count:
         raise EmptyPolytopeError("scenario has no value functions; bound undefined")
-    return count, best, _value_function(labels, best_ones)
+    return count, best, _value_function(s.outcomes, best_ones)
 
 
 def enumerate_value_functions(
@@ -217,7 +213,7 @@ def enumerate_value_functions(
 
 def count_value_functions(s: Scenario, *, node_budget: int | None = None) -> int:
     """The number of value functions, without building them."""
-    return sum(1 for _ in _search(s, canonical_outcomes(s), node_budget))
+    return sum(1 for _ in _search(s, node_budget))
 
 
 def _check_labels(s: Scenario, labels: Iterable[str]) -> None:
@@ -290,10 +286,9 @@ def is_noncontextual_state(
     vfs = enumerate_value_functions(s, node_budget=node_budget)
     if not vfs:
         return MembershipVerdict("empty-polytope")
-    labels = canonical_outcomes(s)
     variables = [f"p{k}" for k in range(len(vfs))]
     rows = []
-    for i, a in enumerate(labels):
+    for i, a in enumerate(s.outcomes):
         coeffs = tuple(Fraction(vf.values[i]) for vf in vfs)
         rows.append((coeffs, ratlp.EQ, full[a]))
     rows.append((tuple([Fraction(1)] * len(vfs)), ratlp.EQ, Fraction(1)))
@@ -333,6 +328,6 @@ def parse_state_json(doc) -> dict[str, Fraction]:
     for label, value in doc["state"].items():
         try:
             out[label] = parse_rational(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ScenarioParseError(f"bad rational for {label!r}: {value!r}") from exc
     return out

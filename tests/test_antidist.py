@@ -65,6 +65,14 @@ def test_overlaps_out_of_range():
     assert x.x2 == 0.0
 
 
+def test_overlap_range_follows_the_given_tolerance():
+    with pytest.raises(OverlapRangeError):
+        TripleOverlaps(1.0 + 1e-7, 0, 0)
+    x = TripleOverlaps(1.0 + 1e-7, -1e-7, 0, 1e-6)
+    assert (x.x1, x.x2, x.x3) == (1.0, 0.0, 0.0)
+    assert x == TripleOverlaps(1.0, 0.0, 0.0)
+
+
 def test_corollary_examples():
     assert corollary_check(TripleOverlaps(0.2, 0.2, 0.2))
     assert corollary_check(TripleOverlaps(0.25, 0.25, 0.25))

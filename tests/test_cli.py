@@ -487,3 +487,96 @@ def test_reproduce_fault_injection_names_the_broken_row(monkeypatch):
     assert result.exit_code == 1
     failing = [row["example"] for row in result.payload if not row["pass"]]
     assert failing == ["mub-d5"]
+
+
+def _write_json(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_zero_denominator_coefficient_is_usage_error(fixtures_dir, tmp_path):
+    coeffs = _write_json(tmp_path, "c.json", {"coeffs": {"0": "1/0"}})
+    result = dispatch(["classical-bound", fx(fixtures_dir, "klyachko.json"), "--coeffs", coeffs])
+    assert result.exit_code == 2
+
+
+def test_zero_denominator_overlap_is_usage_error():
+    assert dispatch(["check-anti", "--overlaps", "1/0,0,0"]).exit_code == 2
+
+
+def _evaluate_argv(fixtures_dir, tmp_path, vectors, rho_doc):
+    ineq = _write_json(tmp_path, "ineq.json", {"coefficients": {"a1": "1"}, "bound": "1"})
+    rho = _write_json(tmp_path, "rho.json", rho_doc)
+    return ["inequality", "evaluate", "--ineq", ineq, "--vectors", vectors, "--rho", rho]
+
+
+def test_density_document_must_be_a_matrix_of_pairs(fixtures_dir, tmp_path):
+    vectors = fx(fixtures_dir, "yu_oh_all.json")
+    result = dispatch(_evaluate_argv(fixtures_dir, tmp_path, vectors, {"matrix": 5}))
+    assert result.exit_code == 2
+    ragged = {"matrix": [[[1, 0], [0, 0]], [[0, 0]]]}
+    assert dispatch(_evaluate_argv(fixtures_dir, tmp_path, vectors, ragged)).exit_code == 2
+
+
+def _unit_pairs(d, norm=1.0):
+    rows = []
+    for k in range(d):
+        components = [[0, 0] for _ in range(d)]
+        components[k] = [norm if k == 0 else 1, 0]
+        rows.append({"label": f"e{k + 1}", "components": components})
+    return {"dimension": d, "states": rows}
+
+
+def test_vector_components_must_be_number_pairs(tmp_path):
+    doc = _unit_pairs(2)
+    doc["states"][0]["components"][0] = ["1", 0]
+    assert dispatch(["quantum-scenario", _write_json(tmp_path, "v.json", doc)]).exit_code == 2
+
+
+def test_vector_labels_must_be_strings(tmp_path):
+    doc = _unit_pairs(2)
+    doc["states"][0]["label"] = 5
+    assert dispatch(["quantum-scenario", _write_json(tmp_path, "v.json", doc)]).exit_code == 2
+
+
+def test_tolerance_reaches_the_overlap_range_check():
+    argv = ["check-anti", "--overlaps", "1.0000001,0,0"]
+    assert dispatch(argv).exit_code == 2
+    assert dispatch(argv + ["--tolerance", "1e-6"]).exit_code in (0, 1)
+
+
+def test_tolerance_reaches_the_norm_check(tmp_path):
+    vectors = _write_json(tmp_path, "v.json", _unit_pairs(2, norm=1.0000001))
+    assert dispatch(["quantum-scenario", vectors]).exit_code == 2
+    result = dispatch(["quantum-scenario", vectors, "--tolerance", "1e-6"])
+    assert result.exit_code == 0
+    assert result.payload["contexts"] == [["e1", "e2"]]
+    # argparse abbreviation: --tol is --tolerance
+    assert dispatch(["quantum-scenario", vectors, "--tol", "1e-6"]).exit_code == 0
+
+
+def test_tolerance_reaches_norms_of_sliced_state_sets(tmp_path):
+    vectors = _write_json(tmp_path, "v.json", _unit_pairs(3, norm=1.0000001))
+    argv = ["check-anti", "--vectors", vectors, "--triple", "e1,e2,e3"]
+    assert dispatch(argv).exit_code == 2
+    assert dispatch(argv + ["--tolerance", "1e-6"]).exit_code == 0
+
+
+def test_tolerance_reaches_the_density_matrix_check(fixtures_dir, tmp_path):
+    rho = {"matrix": [[[0.5000001, 0], [0, 0], [0, 0]], [[0, 0], [0.5, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]}
+    argv = _evaluate_argv(fixtures_dir, tmp_path, fx(fixtures_dir, "yu_oh_all.json"), rho)
+    assert dispatch(argv).exit_code == 2
+    assert dispatch(argv + ["--tolerance", "1e-6"]).exit_code in (0, 1)
+
+
+def test_tolerance_must_lie_between_zero_and_one():
+    for value in ("0", "-1", "nan", "1"):
+        assert dispatch(["check-anti", "--overlaps", "0.1,0.1,0.1", "--tolerance", value]).exit_code == 2
+
+
+def test_quantum_scenario_has_no_tol_option(capsys):
+    assert dispatch(["quantum-scenario", "--help"]).exit_code == 0
+    usage = capsys.readouterr().out
+    assert "--tolerance" in usage
+    assert "--tol " not in usage and "--tol\n" not in usage

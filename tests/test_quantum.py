@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from antictx.ensembles import FamilySpec, generate_scenario, generate_states
 from antictx.errors import (
     DimensionMismatchError,
     DuplicateRayError,
+    ScenarioParseError,
     ToleranceAmbiguityError,
 )
 from antictx.quantum import (
@@ -31,6 +33,16 @@ def kets(dimension, *vectors):
 def test_purestateset_rejects_unnormalized_vectors():
     with pytest.raises(ValueError):
         kets(2, [1, 1])
+
+
+def test_norms_are_checked_once_at_the_given_tolerance():
+    pairs = [("a", [1.0000001, 0]), ("b", [0, 1])]
+    with pytest.raises(ValueError):
+        PureStateSet.from_pairs(2, pairs)
+    states = PureStateSet.from_pairs(2, pairs, tol=1e-6)
+    # slicing a checked set does not check it again at the default
+    assert states.subset(["a"]).labels == ("a",)
+    assert states.union(kets(2, [1, 0])).labels == ("a", "b", "s0")
 
 
 def test_purestateset_rejects_duplicate_labels():
@@ -189,6 +201,26 @@ def test_density_operator_validation():
         DensityOperator(2, np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         DensityOperator(2, np.diag([1.5, -0.5]).astype(complex))
+
+
+def test_density_operator_follows_the_given_tolerance():
+    matrix = np.diag([0.5 + 1e-7, 0.5]).astype(complex)
+    with pytest.raises(ValueError):
+        DensityOperator(2, matrix)
+    assert DensityOperator(2, matrix, 1e-6).dimension == 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dimension": True, "states": [{"label": "a", "components": [[1, 0]]}]},
+        {"dimension": 1, "states": [{"label": "a", "components": 5}]},
+        {"dimension": 1, "states": [{"label": "a", "components": [[1, None]]}]},
+    ],
+)
+def test_malformed_vector_sets(doc):
+    with pytest.raises(ScenarioParseError):
+        load_states(json.dumps(doc))
 
 
 def test_vector_set_round_trip():

@@ -28,6 +28,11 @@ def test_parse_rational_forms():
         parse_rational(True)
 
 
+def test_parse_rational_zero_denominator_is_value_error():
+    with pytest.raises(ValueError):
+        parse_rational("1/0")
+
+
 def test_format_rational():
     assert format_rational(Fraction(5, 2)) == "5/2"
     assert format_rational(Fraction(4, 2)) == "2"

@@ -8,6 +8,7 @@ from antictx.scenario import (
     load_scenario,
     make_scenario,
     parse_scenario,
+    read_document,
     save_scenario,
     validate_scenario,
 )
@@ -85,6 +86,7 @@ def test_unknown_top_level_key_is_parse_error():
     "doc",
     [
         "not json at all {",
+        b"\xff{}",
         json.dumps(["a"]),
         json.dumps({"contexts": []}),
         json.dumps({"outcomes": "a"}),
@@ -95,6 +97,15 @@ def test_unknown_top_level_key_is_parse_error():
 def test_malformed_documents(doc):
     with pytest.raises(ScenarioParseError):
         parse_scenario(doc)
+
+
+def test_read_document_accepts_bytes_text_and_files(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes('{"a": "\u00e9"}'.encode("utf-8"))
+    assert read_document(path.read_bytes()) == {"a": "\u00e9"}
+    assert read_document(path.read_text(encoding="utf-8")) == {"a": "\u00e9"}
+    with open(path, "rb") as fh:
+        assert read_document(fh) == {"a": "\u00e9"}
 
 
 def test_load_rejects_invalid_scenario():
