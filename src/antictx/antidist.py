@@ -24,7 +24,7 @@ while still possessing definite value functions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 import numpy as np
@@ -45,6 +45,7 @@ __all__ = [
     "CertificateReport",
     "ScenarioAntidistVerdict",
     "triple_antidistinguishable",
+    "triple_criterion",
     "corollary_check",
     "verify_certificate",
     "scenario_antidistinguishable",
@@ -61,9 +62,12 @@ class TripleOverlaps:
     x1: float
     x2: float
     x3: float
-    tol: InitVar[float] = TOLERANCE
+    tol: float = field(default=TOLERANCE, compare=False, repr=False)
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
+        if 0.0 <= self.x1 <= 1.0 and 0.0 <= self.x2 <= 1.0 and 0.0 <= self.x3 <= 1.0:
+            return  # nothing to check or clamp, and the common case
+        tol = self.tol
         for name, x in (("x1", self.x1), ("x2", self.x2), ("x3", self.x3)):
             if x < -tol or x > 1.0 + tol:
                 raise OverlapRangeError(f"{name} = {x!r} lies outside [0, 1]")
@@ -91,22 +95,50 @@ class AntidistVerdict:
     boundary: bool  # quadratic condition holds with equality within tolerance
 
 
+def _criterion(x1, x2, x3, tol):
+    """(margin_strict, margin_quadratic, antidistinguishable, boundary) of
+    clamped overlaps; the same arithmetic on floats and on numpy arrays."""
+    total = x1 + x2 + x3
+    excess = total - 1.0
+    margin_strict = 1.0 - total
+    margin_quadratic = excess * excess - 4.0 * x1 * x2 * x3
+    return (
+        margin_strict,
+        margin_quadratic,
+        (margin_strict > tol) & (margin_quadratic >= -tol),
+        abs(margin_quadratic) <= tol,
+    )
+
+
 def triple_antidistinguishable(x: TripleOverlaps, tol: float = TOLERANCE) -> AntidistVerdict:
     """Decide antidistinguishability of three pure states from overlaps.
 
     The sum condition is strict (margin > tol); the quadratic condition is
     accepted down to -tol so boundary families count as antidistinguishable.
     """
-    total = x.x1 + x.x2 + x.x3
-    margin_strict = 1.0 - total
-    margin_quadratic = (total - 1.0) ** 2 - 4.0 * x.x1 * x.x2 * x.x3
-    return AntidistVerdict(
-        antidistinguishable=margin_strict > tol and margin_quadratic >= -tol,
-        via="overlap-criterion",
-        margin_strict=margin_strict,
-        margin_quadratic=margin_quadratic,
-        boundary=abs(margin_quadratic) <= tol,
-    )
+    margin_strict, margin_quadratic, ok, boundary = _criterion(x.x1, x.x2, x.x3, tol)
+    return AntidistVerdict(ok, "overlap-criterion", margin_strict, margin_quadratic, boundary)
+
+
+def triple_criterion(x1, x2, x3, tol: float = TOLERANCE):
+    """`TripleOverlaps` and `triple_antidistinguishable` over arrays.
+
+    x1, x2, x3 broadcast to one shape of triples.  Raises OverlapRangeError
+    for the first triple (in C order) with an entry outside [-tol, 1 + tol],
+    naming its first such entry; clamps the rest to [0, 1].  Returns the
+    arrays (margin_strict, margin_quadratic, antidistinguishable, boundary),
+    equal entry by entry to the scalar verdicts.
+    """
+    x = np.array(np.broadcast_arrays(x1, x2, x3), dtype=float)
+    bad = (x < -tol) | (x > 1.0 + tol)
+    if bad.any():
+        flat = bad.reshape(3, -1)
+        t = int(np.argmax(flat.any(axis=0)))
+        k = int(np.argmax(flat[:, t]))
+        raise OverlapRangeError(f"x{k + 1} = {float(x.reshape(3, -1)[k, t])!r} lies outside [0, 1]")
+    # fmax/fmin clamp like the scalar min/max, which also send nan to 0
+    x = np.fmin(np.fmax(x, 0.0), 1.0)
+    return _criterion(x[0], x[1], x[2], tol)
 
 
 def corollary_check(x: TripleOverlaps, tol: float = TOLERANCE) -> bool:

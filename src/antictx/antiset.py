@@ -10,7 +10,11 @@ outcome instead.  Verified antisets yield the inequality
 for noncontextual states: state-independent in the strong case, and
 conditional on omega(principal) = 1 in the weak case.  Triples are always
 checked through the overlap criterion on Gram data; no antidistinguishing
-measurement is ever constructed.
+measurement is ever constructed.  Verification decides and logs one triple
+at a time, in lexicographic order.  The search for maximal antisets
+decides every (pair from the pool) x (principal outcome) triple at once,
+with the array form of the criterion on one Gram matrix, and puts each
+clique's triple log together from the logs of its pairs.
 
 Inequalities can be combined: added together, extended by a context
 normalization (which raises the bound by exactly 1 for every state), or
@@ -25,10 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
+import numpy as np
+
 from ._cliques import maximal_cliques
-from .antidist import AntidistVerdict, TripleOverlaps, triple_antidistinguishable
+from .antidist import AntidistVerdict, TripleOverlaps, triple_antidistinguishable, triple_criterion
 from .errors import (
     ConstraintMismatchError,
+    DuplicateRayError,
     FailedTripleError,
     MissingLabelError,
     NotABasisError,
@@ -126,9 +133,8 @@ def verify_strong_antiset(
         raise ValueError(f"members and principal context overlap: {sorted(overlap)}")
     _check_basis(states, principal, tol)
     g = gram(states.subset(w + principal))
-    triples = sorted(
-        (a, b, c) for a, b in itertools.combinations(w, 2) for c in principal
-    )
+    ordered = sorted(principal)
+    triples = [(a, b, c) for a, b in itertools.combinations(w, 2) for c in ordered]
     log = _checked_triples(g, triples, tol)
     return PairwiseAntiset("strong", w, principal, log)
 
@@ -147,9 +153,43 @@ def verify_weak_antiset(
         raise ValueError(f"principal outcome {principal!r} must not be a member of W")
     states.index(principal)  # raises UnknownLabelError if absent
     g = gram(states.subset(w + (principal,)))
-    triples = sorted((a, b, principal) for a, b in itertools.combinations(w, 2))
+    triples = [(a, b, principal) for a, b in itertools.combinations(w, 2)]
     log = _checked_triples(g, triples, tol)
     return PairwiseAntiset("weak", w, principal, log)
+
+
+# triples per block of the criterion table: a block's temporaries stay small
+_BLOCK = 4096
+
+
+def _compatible_pair_logs(
+    labels: Sequence[str], o: np.ndarray, n: int, cols: Sequence[int], tol: float
+) -> dict[tuple[int, int], tuple[TripleLogEntry, ...]]:
+    """The triple logs of the pairs i < j < n that pass with every column.
+
+    The triples (labels[i], labels[j], labels[c]), c in `cols`, are decided
+    by `triple_criterion` on the Gram matrix `o` (x1 = o[j, c], x2 = o[i, c],
+    x3 = o[i, j]) in blocks of about _BLOCK triples, in pair order; a pair's
+    log lists its triples in `cols` order.
+    """
+    names = [labels[c] for c in cols]
+    oc = o[:, cols]  # each block gathers its pair rows from this (n + k) x k matrix
+    pairs = np.transpose(np.triu_indices(n, 1))
+    logs = {}
+    step = max(1, _BLOCK // len(cols))
+    for start in range(0, len(pairs), step):
+        block = pairs[start : start + step]
+        first, second = block.T
+        verdicts = triple_criterion(oc[second], oc[first], o[first, second][:, None], tol)
+        table = [x.tolist() for x in verdicts]
+        for (i, j), strict, quadratic, ok, boundary in zip(block.tolist(), *table):
+            if all(ok):
+                a, b = labels[i], labels[j]
+                logs[i, j] = tuple(
+                    (a, b, c, AntidistVerdict(True, "overlap-criterion", ms, mq, bd))
+                    for c, ms, mq, bd in zip(names, strict, quadratic, boundary)
+                )
+    return logs
 
 
 def find_strong_antisets(
@@ -157,11 +197,18 @@ def find_strong_antisets(
     candidate_pool: Iterable[str],
     principal: Sequence[str],
     tol: float = TOLERANCE,
+    node_budget: int | None = None,
 ) -> list[PairwiseAntiset]:
     """Maximal strong antisets within a candidate pool.
 
     Builds the pairwise-compatibility graph (an edge when all basis triples
     pass) and returns its maximal cliques of size >= 2 in canonical order.
+    One Gram matrix of pool and principal context serves the duplicate
+    check and every triple; each clique's triple log is put together from
+    the logs of its pairs, in the order `verify_strong_antiset` gives.  Raises
+    DuplicateRayError when two pool states are the same ray, and
+    ResourceLimitError when the clique search visits more than
+    `node_budget` nodes.
     """
     pool = tuple(sorted(set(candidate_pool)))
     principal = tuple(principal)
@@ -169,29 +216,25 @@ def find_strong_antisets(
     if overlap:
         raise ValueError(f"pool and principal context overlap: {sorted(overlap)}")
     _check_basis(states, principal, tol)
-    g = gram(states.subset(pool + principal))
-
-    def compatible(a: str, b: str) -> bool:
-        return all(
-            triple_antidistinguishable(
-                TripleOverlaps.from_gram(g, a, b, c, tol=tol), tol
-            ).antidistinguishable
-            for c in principal
-        )
-
+    labels = pool + principal
+    o = gram(states.subset(labels)).overlaps
     n = len(pool)
+    same = np.argwhere(np.triu(o[:n, :n] >= 1.0 - tol, 1))
+    if len(same):
+        i, j = same[0]
+        raise DuplicateRayError(f"pool states {pool[i]!r} and {pool[j]!r} are the same ray")
+    cols = sorted(range(n, len(labels)), key=labels.__getitem__)
+    pair_logs = _compatible_pair_logs(labels, o, n, cols, tol)
     adjacency: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if compatible(pool[i], pool[j]):
-                adjacency[i].add(j)
-                adjacency[j].add(i)
+    for i, j in pair_logs:
+        adjacency[i].add(j)
+        adjacency[j].add(i)
     antisets = []
-    for clique in maximal_cliques(n, adjacency):
+    for clique in maximal_cliques(n, adjacency, node_budget):
         if len(clique) < 2:
             continue
-        members = [pool[i] for i in clique]
-        antisets.append(verify_strong_antiset(states, members, principal, tol))
+        log = tuple(e for pair in itertools.combinations(clique, 2) for e in pair_logs[pair])
+        antisets.append(PairwiseAntiset("strong", tuple(pool[i] for i in clique), principal, log))
     return antisets
 
 

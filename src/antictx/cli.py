@@ -251,7 +251,8 @@ def _cmd_antiset(args, ctx) -> CommandResult:
         return _result(EXIT_OK, payload)
     states = quantum.load_states(_read(args.vectors), ctx["tolerance"])
     found = antiset.find_strong_antisets(
-        states, args.members.split(","), args.principal.split(","), ctx["tolerance"]
+        states, args.members.split(","), args.principal.split(","), ctx["tolerance"],
+        node_budget=ctx["node_budget"],
     )
     return _result(EXIT_OK, {"antisets": [_antiset_payload(a) for a in found]})
 

@@ -1,6 +1,7 @@
 """Complex linear algebra over labeled pure states.
 
-This is the floating-point layer of the package: squared overlaps, frame
+This is the floating-point layer of the package: squared overlaps (one
+matrix product per Gram matrix, mirrored to exact symmetry), frame
 operators, quantum values of coefficient functionals, and the construction
 of contextuality scenarios from the orthogonality graph of a vector set.
 The abstract layer (scenarios, value functions, bounds) stays exact; the
@@ -19,7 +20,8 @@ checked set are not checked again.
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -121,10 +123,10 @@ class DensityOperator:
 
     dimension: int
     matrix: np.ndarray
-    tol: InitVar[float] = TOLERANCE
+    tol: float = field(default=TOLERANCE, compare=False, repr=False)
 
-    def __post_init__(self, tol):
-        m = self.matrix
+    def __post_init__(self):
+        m, tol = self.matrix, self.tol
         if m.shape != (self.dimension, self.dimension):
             raise DimensionMismatchError(f"density matrix must be {self.dimension}x{self.dimension}")
         if np.abs(m - m.conj().T).max() > tol:
@@ -153,24 +155,31 @@ class DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class GramData:
-    """Symmetric matrix of squared overlaps |<a|b>|^2."""
+    """Symmetric matrix of squared overlaps |<a|b>|^2, unit diagonal."""
 
     labels: tuple[str, ...]
     overlaps: np.ndarray
 
+    @cached_property
+    def _lookup(self) -> tuple[dict[str, int], list[list[float]]]:
+        # label -> index, and the matrix as nested lists: overlap() runs
+        # three times per checked triple, where ndarray indexing would dominate
+        return {a: i for i, a in enumerate(self.labels)}, self.overlaps.tolist()
+
     def overlap(self, a: str, b: str) -> float:
-        i, j = self.labels.index(a), self.labels.index(b)
-        return float(self.overlaps[i, j])
+        index, rows = self._lookup
+        return rows[index[a]][index[b]]
 
 
 def gram(states: PureStateSet) -> GramData:
-    """Squared overlaps, computed once per unordered pair."""
-    n = len(states)
-    overlaps = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = abs(np.vdot(states.vectors[i], states.vectors[j])) ** 2
-            overlaps[i, j] = overlaps[j, i] = value
+    """Squared overlaps of every pair, from one matrix product.
+
+    The upper triangle is mirrored, so the matrix is exactly symmetric.
+    """
+    v = states.vectors
+    overlaps = np.triu(np.abs(v.conj() @ v.T) ** 2, 1)
+    overlaps += overlaps.T
+    np.fill_diagonal(overlaps, 1.0)
     return GramData(states.labels, overlaps)
 
 

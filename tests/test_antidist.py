@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from antictx.antidist import (
@@ -10,11 +11,12 @@ from antictx.antidist import (
     load_certificate,
     scenario_antidistinguishable,
     triple_antidistinguishable,
+    triple_criterion,
     verify_certificate,
 )
-from antictx.ensembles import generate_scenario
+from antictx.ensembles import FamilySpec, generate_scenario, generate_states
 from antictx.errors import OverlapRangeError, UnknownLabelError
-from antictx.quantum import PureStateSet, scenario_from_states
+from antictx.quantum import PureStateSet, gram, scenario_from_states
 from antictx.scenario import make_scenario, validate_scenario
 
 from helpers import random_scenario
@@ -71,6 +73,75 @@ def test_overlap_range_follows_the_given_tolerance():
     x = TripleOverlaps(1.0 + 1e-7, -1e-7, 0, 1e-6)
     assert (x.x1, x.x2, x.x3) == (1.0, 0.0, 0.0)
     assert x == TripleOverlaps(1.0, 0.0, 0.0)
+
+
+def test_overlaps_report_their_tolerance():
+    assert TripleOverlaps(0.1, 0.1, 0.1, 1e-6).tol == 1e-6
+    assert TripleOverlaps(0.1, 0.1, 0.1, tol=1e-3).tol == 1e-3
+    assert TripleOverlaps(0.1, 0.1, 0.1).tol == 1e-9
+    assert TripleOverlaps(1.0, 0.0, 0.0, 1e-6) == TripleOverlaps(1.0, 0.0, 0.0)
+
+
+def _family_triples():
+    """Overlaps (x1, x2, x3) of every (pair, principal outcome) triple of
+    the Yu-Oh, Hadamard d=4 and MUB d=3 and d=5 antisets."""
+    cases = [
+        (generate_states(FamilySpec("yu_oh_rays")).union(generate_states(FamilySpec("yu_oh_principal"))), 4),
+        (generate_states(FamilySpec("hadamard", 4, "B0")).union(generate_states(FamilySpec("standard_basis", 4))), 8),
+        (generate_states(FamilySpec("mub", 3)), 9),
+        (generate_states(FamilySpec("mub", 5)), 25),
+    ]
+    out = []
+    for states, m in cases:
+        o = gram(states).overlaps
+        out += [
+            (o[j, c], o[i, c], o[i, j])
+            for i, j in itertools.combinations(range(m), 2)
+            for c in range(m, len(states))
+        ]
+    return out
+
+
+def test_array_criterion_equals_scalar_verdicts():
+    rng = random.Random(79)
+    tol = 1e-9
+    edges = [-tol, -tol / 2, -1e-12, 0.0, 1.0, 1.0 + 1e-12, 1.0 + tol / 2, 1.0 + tol]
+    triples = _family_triples() + [(0.25, 0.25, 0.25), (1 / 9, 1 / 3, 1 / 3)]
+    triples += [tuple(rng.random() for _ in range(3)) for _ in range(3000)]
+    triples += [tuple(rng.random() / 3 for _ in range(3)) for _ in range(3000)]
+    triples += [tuple(rng.choice(edges + [rng.random()]) for _ in range(3)) for _ in range(500)]
+    x = np.array(triples)
+    strict, quadratic, ok, boundary = triple_criterion(x[:, 0], x[:, 1], x[:, 2], tol)
+    assert ok.dtype == bool and boundary.dtype == bool
+    assert boundary.sum() > 100 and ok.any() and not ok.all()
+    for t, triple in enumerate(triples):
+        verdict = triple_antidistinguishable(TripleOverlaps(*map(float, triple), tol), tol)
+        assert verdict.antidistinguishable == ok[t]
+        assert verdict.boundary == boundary[t]
+        assert verdict.margin_strict == strict[t]
+        assert verdict.margin_quadratic == quadratic[t]
+    # and with a looser tolerance, and triples broadcast against one overlap
+    loose = triple_criterion(x[:, :1], x[:1, 1:], 0.3, 1e-3)
+    assert loose[0].shape == (len(triples), 2)
+    for t, k in ((0, 0), (7, 1), (len(triples) - 1, 1)):
+        verdict = triple_antidistinguishable(TripleOverlaps(float(x[t, 0]), float(x[0, 1 + k]), 0.3, 1e-3), 1e-3)
+        assert (verdict.margin_strict, verdict.margin_quadratic) == (loose[0][t, k], loose[1][t, k])
+        assert (verdict.antidistinguishable, verdict.boundary) == (loose[2][t, k], loose[3][t, k])
+
+
+def test_array_criterion_rejects_overlaps_beyond_the_tolerance():
+    with pytest.raises(OverlapRangeError, match="x2 = 1.5 "):
+        triple_criterion([0.1, 0.1], [1.5, 0.1], [0.1, -2.0])
+    with pytest.raises(OverlapRangeError, match="x3 = -2.0 "):
+        triple_criterion([0.1, 0.1], [0.1, 1.5], [-2.0, 0.1])
+    with pytest.raises(OverlapRangeError, match="x1 = "):
+        triple_criterion([1.0 + 2e-9], [0.0], [0.0])
+    with pytest.raises(OverlapRangeError):
+        triple_criterion([0.0], [-2e-9], [0.0])
+    with pytest.raises(OverlapRangeError):
+        triple_criterion([0.0], [0.0], [1.0 + 1e-7], 1e-8)
+    strict, *_ = triple_criterion([1.0 + 1e-7], [-1e-7], [0.0], 1e-6)
+    assert strict.tolist() == [0.0]
 
 
 def test_corollary_examples():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,12 +17,16 @@ from antictx.antiset import (
     verify_strong_antiset,
     verify_weak_antiset,
 )
+from antictx._cliques import maximal_cliques
+from antictx.antidist import TripleOverlaps, triple_antidistinguishable
 from antictx.ensembles import FamilySpec, generate_scenario, generate_states
 from antictx.errors import (
     ConstraintMismatchError,
+    DuplicateRayError,
     FailedTripleError,
     MissingLabelError,
     NotABasisError,
+    ResourceLimitError,
 )
 from antictx.quantum import DensityOperator, PureStateSet
 from antictx.ratlp import build_state_polytope, solve
@@ -164,6 +169,99 @@ def test_find_returns_empty_when_no_edges():
         2, [("p", [r, r]), ("m", [r, -r]), ("e1", [1, 0]), ("e2", [0, 1])]
     )
     assert find_strong_antisets(states, ["p", "m"], ["e1", "e2"]) == []
+
+
+def random_pool(seed, n=9, d=4):
+    """n rays in C^d, most of them unbiased to the standard basis, plus
+    that basis; returns (states, pool labels, basis labels)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        if rng.random() < 0.75:
+            v = np.exp(2j * np.pi * rng.random(d))
+        else:
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        rows.append(v / np.linalg.norm(v))
+    pool = [f"p{i}" for i in rng.permutation(n)]
+    basis = [f"e{k}" for k in range(d)]
+    states = PureStateSet(d, tuple(pool + basis), np.vstack(rows + list(np.eye(d, dtype=complex))))
+    return states, pool, basis
+
+
+def test_failed_triple_is_the_lexicographically_first():
+    for seed in range(6):
+        states, pool, basis = random_pool(seed)
+        members = sorted(pool)
+        triples = [(a, b, c) for a, b in itertools.combinations(members, 2) for c in sorted(basis)]
+        failing = [
+            t for t in triples
+            if not triple_antidistinguishable(TripleOverlaps.from_states(states, *t)).antidistinguishable
+        ]
+        assert len(failing) > 1
+        with pytest.raises(FailedTripleError) as exc:
+            verify_strong_antiset(states, pool, basis[::-1])
+        assert exc.value.triple == failing[0]
+        weak = [(a, b, basis[0]) for a, b, c in failing if c == basis[0]]
+        if weak:
+            with pytest.raises(FailedTripleError) as exc:
+                verify_weak_antiset(states, pool, basis[0])
+            assert exc.value.triple == weak[0]
+
+
+def test_find_matches_verify_on_every_subset():
+    cliques = 0
+    for seed in range(8):
+        states, pool, basis = random_pool(seed)
+        principal = basis[::-1]
+        antisets = {}
+        for size in range(2, len(pool) + 1):
+            for members in itertools.combinations(sorted(pool), size):
+                try:
+                    antisets[members] = verify_strong_antiset(states, members, principal)
+                except FailedTripleError:
+                    pass
+        maximal = [
+            antisets[m] for m in sorted(antisets)
+            if not any(set(m) < set(other) for other in antisets)
+        ]
+        found = find_strong_antisets(states, pool, principal)
+        assert [a.members for a in found] == [a.members for a in maximal]
+        for got, want in zip(found, maximal):
+            assert (got.kind, got.principal) == (want.kind, want.principal)
+            assert [e[:3] for e in got.triple_log] == [e[:3] for e in want.triple_log]
+            for (*_, v), (*_, u) in zip(got.triple_log, want.triple_log):
+                assert (v.antidistinguishable, v.boundary, v.via) == (u.antidistinguishable, u.boundary, u.via)
+                assert abs(v.margin_strict - u.margin_strict) <= 1e-12
+                assert abs(v.margin_quadratic - u.margin_quadratic) <= 1e-12
+        cliques += sum(len(a.members) > 2 for a in found)
+    assert cliques >= 3
+
+
+def test_find_rejects_repeated_rays_in_the_pool():
+    b0 = generate_states(FamilySpec("hadamard", 4, "B0"))
+    b1 = generate_states(FamilySpec("hadamard", 4, "B1"))
+    basis = generate_states(FamilySpec("standard_basis", 4))
+    pool = b0.union(b1)
+    with pytest.raises(DuplicateRayError, match="'0000' and '1111'"):
+        find_strong_antisets(pool.union(basis), pool.labels, basis.labels)
+
+
+def test_find_obeys_the_node_budget():
+    states, pool, basis = random_pool(3, n=12)
+    with pytest.raises(ResourceLimitError):
+        find_strong_antisets(states, pool, basis, node_budget=2)
+    assert find_strong_antisets(states, pool, basis, node_budget=10**6) == find_strong_antisets(
+        states, pool, basis
+    )
+
+
+def test_maximal_cliques_obeys_the_node_budget():
+    # the 5-cycle: the root, three branches off pivot 0, five cliques
+    adjacency = [{(i + 1) % 5, (i - 1) % 5} for i in range(5)]
+    with pytest.raises(ResourceLimitError):
+        maximal_cliques(5, adjacency, node_budget=8)
+    expected = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+    assert maximal_cliques(5, adjacency, node_budget=9) == expected
 
 
 # ------------------------------------------------------------ inequalities

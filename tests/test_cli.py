@@ -292,6 +292,25 @@ def test_antiset_find(fixtures_dir):
     assert result.payload["antisets"][0]["members"] == ["a1", "a2", "a3", "a4"]
 
 
+def test_antiset_find_node_budget_exit_code(fixtures_dir):
+    argv = ["antiset", "find", fx(fixtures_dir, "yu_oh_all.json"),
+            "--members", "a1,a2,a3,a4", "--principal", "c1,c2,c3"]
+    assert dispatch(argv + ["--node-budget", "1"]).exit_code == 3
+    assert dispatch(argv + ["--node-budget", "5"]).exit_code == 0
+
+
+def test_antiset_find_repeated_ray_is_usage_error(tmp_path):
+    pool = ensembles.generate_states(FamilySpec("hadamard", 4, "B0")).union(
+        ensembles.generate_states(FamilySpec("hadamard", 4, "B1"))
+    )
+    path = tmp_path / "h4.json"
+    path.write_bytes(quantum.save_states(pool.union(ensembles.generate_states(FamilySpec("standard_basis", 4)))))
+    result = dispatch(["antiset", "find", str(path), "--members", ",".join(pool.labels),
+                       "--principal", "e1,e2,e3,e4", "--format", "json"])
+    assert result.exit_code == 2
+    assert result.payload["error"] == "DuplicateRayError"
+
+
 def test_inequality_emit_augment_evaluate(fixtures_dir, tmp_path):
     emit = dispatch(
         [

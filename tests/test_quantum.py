@@ -210,6 +210,30 @@ def test_density_operator_follows_the_given_tolerance():
     assert DensityOperator(2, matrix, 1e-6).dimension == 2
 
 
+def test_density_operator_reports_its_tolerance():
+    matrix = np.diag([0.5 + 1e-7, 0.5]).astype(complex)
+    assert DensityOperator(2, matrix, 1e-6).tol == 1e-6
+    assert DensityOperator(2, matrix, tol=1e-3).tol == 1e-3
+    assert DensityOperator.maximally_mixed(2).tol == 1e-9
+
+
+def test_gram_matches_pairwise_inner_products():
+    rng = np.random.default_rng(5)
+    for d, n in ((2, 1), (3, 9), (7, 30)):
+        v = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        states = PureStateSet(d, tuple(f"v{i}" for i in range(n)), v)
+        g = gram(states)
+        reference = np.array(
+            [[abs(np.vdot(v[i], v[j])) ** 2 if i != j else 1.0 for j in range(n)] for i in range(n)]
+        )
+        assert np.abs(g.overlaps - reference).max() <= 64 * np.finfo(float).eps
+        assert (g.overlaps == g.overlaps.T).all()
+        assert (np.diag(g.overlaps) == 1.0).all()
+        for i, j in ((0, n - 1), (n // 2, 0)):
+            assert g.overlap(f"v{i}", f"v{j}") == g.overlaps[i, j]
+
+
 @pytest.mark.parametrize(
     "doc",
     [
