@@ -1,9 +1,14 @@
 """Exact linear programming over rationals.
 
-Two-phase primal simplex with Bland's anti-cycling rule, all arithmetic in
-`fractions.Fraction`.  There is no floating-point fast path: callers rely on
-results like 5/2 being exact.  Before an optimal result is returned, the
-point is substituted back into every constraint as a certificate.
+Two-phase primal simplex with Bland's anti-cycling rule, exact throughout.
+The tableau is integer pivoting over one common denominator (Edmonds,
+Bareiss; the scheme of Avis's lrs): Python ints, every division exact, the
+cost row pivoted as one more row.  `fractions.Fraction` appears only at the
+boundary: rows are scaled to integers on entry, and the point is read off as
+fractions.  There is no floating-point fast path: callers rely on results
+like 5/2 being exact.  Before an optimal result is returned, the point is
+substituted back into every constraint; before an infeasible one, the
+phase-1 multipliers are checked as a Farkas certificate.
 
 Also provides the state-polytope constructions for scenarios: one variable
 per outcome, an equality row per context, a `<=` row per partial context,
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, UnknownLabelError
@@ -42,6 +48,7 @@ _ONE = Fraction(1)
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
+_FLIPPED = {LE: GE, GE: LE, EQ: EQ}
 
 
 def parse_rational(value) -> Fraction:
@@ -71,7 +78,10 @@ def format_rational(q: Fraction) -> str:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Maximize objective . x subject to rows and per-variable bounds."""
+    """Maximize objective . x subject to rows and per-variable bounds.
+
+    Entries are exact rationals: Fractions, or ints where a caller builds the
+    program directly."""
 
     variables: tuple[str, ...]
     objective: tuple[Fraction, ...]
@@ -120,58 +130,12 @@ class LPResult:
 
 
 def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), _ZERO)
-
-
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    prow = tableau[row]
-    for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
-            factor = r[col]
-            tableau[i] = [v - factor * p for v, p in zip(r, prow)]
-    basis[row] = col
-
-
-def _run_simplex(
-    tableau: list[list[Fraction]],
-    basis: list[int],
-    cost: list[Fraction],
-    allowed: Sequence[int],
-) -> Fraction | None:
-    """Maximize cost over the current basic feasible tableau (Bland's rule).
-
-    Returns the optimal objective value, or None when unbounded.
-    """
-    allowed = sorted(allowed)
-    while True:
-        # reduced costs relative to the current basis
-        basic_cost = [cost[b] for b in basis]
-        entering = -1
-        for j in allowed:
-            rc = cost[j] - sum(bc * row[j] for bc, row in zip(basic_cost, tableau) if row[j] != 0)
-            if rc > 0:
-                entering = j
-                break
-        if entering < 0:
-            return sum(bc * row[-1] for bc, row in zip(basic_cost, tableau))
-        leaving = -1
-        best = None
-        for i, row in enumerate(tableau):
-            a = row[entering]
-            if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        if leaving < 0:
-            return None
-        _pivot(tableau, basis, leaving, entering)
+    return sum((x * y for x, y in zip(a, b) if x and y), _ZERO)
 
 
 def solve(lp: LinearProgram) -> LPResult:
-    """Exact two-phase simplex.  Optimal points are certified before return."""
+    """Exact two-phase simplex.  Optimal points and infeasible verdicts are
+    certified before return."""
     n = len(lp.variables)
     for row, _, _ in lp.rows:
         if len(row) != n:
@@ -181,13 +145,14 @@ def solve(lp: LinearProgram) -> LPResult:
 
     # Shift to y = x - lower so every variable has lower bound 0, and turn
     # upper bounds into explicit rows.
-    rows: list[tuple[list[Fraction], str, Fraction]] = []
+    shifted = [(j, lo) for j, lo in enumerate(lp.lower) if lo]
+    rows: list[tuple[Sequence[Fraction], str, Fraction]] = []
     for coeffs, rel, rhs in lp.rows:
-        rows.append((list(coeffs), rel, rhs - _dot(coeffs, lp.lower)))
+        rows.append((coeffs, rel, rhs - sum((coeffs[j] * lo for j, lo in shifted), _ZERO)))
     for j, ub in enumerate(lp.upper):
         if ub is not None:
-            unit = [_ZERO] * n
-            unit[j] = _ONE
+            unit = [0] * n
+            unit[j] = 1
             rows.append((unit, LE, ub - lp.lower[j]))
 
     status, y = _solve_nonneg(n, rows, lp.objective)
@@ -199,92 +164,190 @@ def solve(lp: LinearProgram) -> LPResult:
     return LPResult("optimal", value, point)
 
 
+def _lcm_denominators(values: Iterable[Fraction]) -> int:
+    return lcm(*(v.denominator for v in values))
+
+
 def _solve_nonneg(
     nvars: int,
-    rows: list[tuple[list[Fraction], str, Fraction]],
+    rows: list[tuple[Sequence[Fraction], str, Fraction]],
     objective: Sequence[Fraction],
 ) -> tuple[str, list[Fraction] | None]:
+    """Maximize objective . y over y >= 0 subject to `rows`.
+
+    The tableau is kept in integers: row i of `tab` is D times the canonical
+    simplex row, D > 0 being the determinant of the current basis, and the
+    right-hand side carries one more factor K.  Rows are scaled once, at
+    entry, to clear their denominators; after that every pivot divides
+    exactly (Sylvester's identity), so no Fraction is built until the point
+    is read off.  The cost row rides along as the last row of `tab`.
+    """
     # normalize to nonnegative right-hand sides
     norm = []
     for coeffs, rel, rhs in rows:
         if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
+            coeffs, rel, rhs = [-c for c in coeffs], _FLIPPED[rel], -rhs
         norm.append((coeffs, rel, rhs))
 
-    nslack = sum(1 for _, rel, _ in norm if rel != EQ)
-    nart = sum(1 for _, rel, _ in norm if rel != LE)
-    ncols = nvars + nslack + nart
-    tableau: list[list[Fraction]] = []
+    nreal = nvars + sum(1 for _, rel, _ in norm if rel != EQ)  # then the artificials
+    ncols = nreal + sum(1 for _, rel, _ in norm if rel != LE)
+    # row i scaled by s_i clears its denominators; the starting basis of
+    # those scaled rows is diag(s_i), so D starts as the product of the s_i
+    d = prod(_lcm_denominators(coeffs) for coeffs, _, _ in norm)
+    k = _lcm_denominators(rhs for _, _, rhs in norm)
+    tab: list[list[int]] = []
     basis: list[int] = []
-    art_cols: list[int] = []
-    si, ai = nvars, nvars + nslack
+    si, ai = nvars, nreal
     for coeffs, rel, rhs in norm:
-        row = list(coeffs) + [_ZERO] * (nslack + nart) + [rhs]
+        row = [c.numerator * d // c.denominator for c in coeffs]
+        row += [0] * (ncols - nvars)
+        row.append(rhs.numerator * d * k // rhs.denominator)
+        if rel != EQ:
+            row[si] = d if rel == LE else -d
+            si += 1
         if rel == LE:
-            row[si] = _ONE
-            basis.append(si)
-            si += 1
-        elif rel == GE:
-            row[si] = -_ONE
-            si += 1
-            row[ai] = _ONE
-            basis.append(ai)
-            art_cols.append(ai)
-            ai += 1
+            basis.append(si - 1)
         else:
-            row[ai] = _ONE
+            row[ai] = d
             basis.append(ai)
-            art_cols.append(ai)
             ai += 1
-        tableau.append(row)
+        tab.append(row)
 
-    real_cols = list(range(nvars + nslack))
-    if art_cols:
-        phase1 = [_ZERO] * ncols
-        for c in art_cols:
-            phase1[c] = -_ONE
-        value = _run_simplex(tableau, basis, phase1, range(ncols))
-        if value is None or value != 0:
+    if ncols > nreal:
+        # phase 1: maximize minus the sum of the artificials
+        initial, start = [row[:] for row in tab], basis[:]
+        cost = [0] * (ncols + 1)
+        for row, b in zip(tab, basis):
+            if b >= nreal:
+                cost = [x + v for x, v in zip(cost, row)]
+        for j in range(nreal, ncols):
+            cost[j] -= d
+        tab.append(cost)
+        d, bounded = _run_simplex(tab, basis, d)
+        cost = tab.pop()
+        if not bounded or cost[-1]:
+            _certify_infeasible(initial, start, cost, d, nreal)
             return ("infeasible", None)
-        _purge_artificials(tableau, basis, set(art_cols), real_cols)
+        # Artificials never enter again: drop their columns, then pivot the
+        # basic ones (at value 0) out on any real column; a row with no real
+        # pivot is redundant and is dropped.
+        tab = [row[:nreal] + row[-1:] for row in tab]
+        for i in reversed(range(len(tab))):
+            if basis[i] < nreal:
+                continue
+            col = next((j for j in range(nreal) if tab[i][j]), None)
+            if col is None:
+                del tab[i], basis[i]
+            else:
+                d = _pivot(tab, i, col, d)
+                basis[i] = col
 
-    cost = [_ZERO] * ncols
-    for j in range(nvars):
-        cost[j] = objective[j]
-    value = _run_simplex(tableau, basis, cost, real_cols)
-    if value is None:
+    # phase 2: cost row D * (c - c_B B^-1 A), times the lcm of c's denominators
+    scale = _lcm_denominators(objective)
+    c = [q.numerator * scale // q.denominator for q in objective] + [0] * (nreal - nvars)
+    cost = [cj * d for cj in c] + [0]
+    for row, b in zip(tab, basis):
+        if c[b]:
+            cost = [x - c[b] * v for x, v in zip(cost, row)]
+    tab.append(cost)
+    d, bounded = _run_simplex(tab, basis, d)
+    if not bounded:
         return ("unbounded", None)
     point = [_ZERO] * nvars
-    for b, row in zip(basis, tableau):
+    for b, row in zip(basis, tab):
         if b < nvars:
-            point[b] = row[-1]
+            point[b] = Fraction(row[-1], d * k)
     return ("optimal", point)
 
 
-def _purge_artificials(
-    tableau: list[list[Fraction]],
-    basis: list[int],
-    art: set[int],
-    real_cols: list[int],
-) -> None:
-    # Pivot basic artificials (at value 0 after phase 1) out on any real
-    # column; a row with no real pivot is redundant and is dropped.
-    for i in reversed(range(len(tableau))):
-        if basis[i] not in art:
+def _pivot(tab: list[list[int]], r: int, c: int, d: int) -> int:
+    """Pivot the integer tableau on (r, c); return the new denominator.
+
+    Row r is kept (negated when the pivot is negative); every other row
+    becomes (row * p - row[c] * tab[r]) / d, an exact division.
+    """
+    prow = tab[r]
+    p = prow[c]
+    if p < 0:
+        prow = tab[r] = [-v for v in prow]
+        p = -p
+    if p == d:
+        # each cross term f * v / d is itself an integer, and only the
+        # nonzero columns of the pivot row move
+        support = [(j, v) for j, v in enumerate(prow) if v]
+        for i, row in enumerate(tab):
+            f = row[c]
+            if f and i != r:
+                for j, v in support:
+                    row[j] -= f * v // d
+        return p
+    for i, row in enumerate(tab):
+        if i == r:
             continue
-        pivot_col = next((j for j in real_cols if tableau[i][j] != 0), None)
-        if pivot_col is None:
-            del tableau[i]
-            del basis[i]
+        f = row[c]
+        if f:
+            tab[i] = [(x * p - f * v) // d for x, v in zip(row, prow)]
         else:
-            _pivot(tableau, basis, i, pivot_col)
+            tab[i] = [x * p // d for x in row]
+    return p
+
+
+def _run_simplex(tab: list[list[int]], basis: list[int], d: int) -> tuple[int, bool]:
+    """Maximize over the basic feasible integer tableau whose last row is
+    the cost row, entering on any column (Bland's rule).
+
+    Returns the final denominator and False when the objective is unbounded.
+    """
+    cost = tab[-1]
+    ncols = len(cost) - 1
+    m = len(tab) - 1
+    while True:
+        entering = next((j for j in range(ncols) if cost[j] > 0), -1)
+        if entering < 0:
+            return d, True
+        leaving = -1
+        for i in range(m):
+            a = tab[i][entering]
+            if a > 0:
+                # ratio b / a against the best so far, by cross-multiplying
+                b = tab[i][-1]
+                if leaving < 0:
+                    leaving, best_b, best_a = i, b, a
+                    continue
+                diff = b * best_a - best_b * a
+                if diff < 0 or (diff == 0 and basis[i] < basis[leaving]):
+                    leaving, best_b, best_a = i, b, a
+        if leaving < 0:
+            return d, False
+        d = _pivot(tab, leaving, entering, d)
+        basis[leaving] = entering
+        cost = tab[-1]
+
+
+def _certify_infeasible(
+    initial: list[list[int]], start: list[int], cost: list[int], d: int, nreal: int
+) -> None:
+    """Check the Farkas certificate read from the final phase-1 cost row.
+
+    Row i's multiplier, times d, is read at the column that was basic in row
+    i at the start: minus the cost entry there, less d more when that column
+    is an artificial (its phase-1 cost is -1).  `initial` holds the
+    normalized rows over a positive common denominator, so y . a_j >= 0 for
+    every real column and y . b < 0 prove that no point satisfies them.
+    """
+    combo = [0] * len(cost)
+    for row, b in zip(initial, start):
+        y = -cost[b] - (d if b >= nreal else 0)
+        if y:
+            combo = [s + y * v for s, v in zip(combo, row)]
+    if any(v < 0 for v in combo[:nreal]) or combo[-1] >= 0:
+        raise RuntimeError("solver certificate failed: infeasibility multipliers")
 
 
 def _certify(lp: LinearProgram, point: Sequence[Fraction], value: Fraction) -> None:
+    support = [(j, v) for j, v in enumerate(point) if v]
     for coeffs, rel, rhs in lp.rows:
-        lhs = _dot(coeffs, point)
+        lhs = sum((coeffs[j] * v for j, v in support if coeffs[j]), _ZERO)
         ok = lhs <= rhs if rel == LE else lhs >= rhs if rel == GE else lhs == rhs
         if not ok:
             raise RuntimeError(f"solver certificate failed: {lhs} {rel} {rhs}")

@@ -283,21 +283,24 @@ def is_noncontextual_state(
     Raises NotAStateError when the input is not a state at all.
     """
     full = _check_state(s, state)
-    vfs = enumerate_value_functions(s, node_budget=node_budget)
-    if not vfs:
+    masks = sorted(ones for ones, _ in _search(s, node_budget))
+    if not masks:
         return MembershipVerdict("empty-polytope")
-    variables = [f"p{k}" for k in range(len(vfs))]
-    rows = []
-    for i, a in enumerate(s.outcomes):
-        coeffs = tuple(Fraction(vf.values[i]) for vf in vfs)
-        rows.append((coeffs, ratlp.EQ, full[a]))
-    rows.append((tuple([Fraction(1)] * len(vfs)), ratlp.EQ, Fraction(1)))
-    lp = ratlp.LinearProgram.build(variables, rows=rows)
+    # one column per value function, its 0/1 entries read off the mask
+    k, n = len(masks), len(s.outcomes)
+    rows = [
+        (tuple(ones >> (n - 1 - i) & 1 for ones in masks), ratlp.EQ, full[a])
+        for i, a in enumerate(s.outcomes)
+    ]
+    rows.append(((1,) * k, ratlp.EQ, 1))
+    lp = ratlp.LinearProgram(
+        tuple(f"p{j}" for j in range(k)), (0,) * k, tuple(rows), (0,) * k, (None,) * k
+    )
     result = ratlp.solve(lp)
     if result.status != "optimal":
         return MembershipVerdict("not-member")
     weights = tuple(
-        (vf, p) for vf, p in zip(vfs, result.point) if p != 0
+        (_value_function(s.outcomes, ones), p) for ones, p in zip(masks, result.point) if p
     )
     decomposition = NoncontextualDecomposition(weights)
     if decomposition.induced_state() != full:

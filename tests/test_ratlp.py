@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from antictx import ratlp
 from antictx.ensembles import generate_scenario
 from antictx.errors import DimensionMismatchError
 from antictx.ratlp import (
@@ -177,6 +179,103 @@ def test_status_agrees_with_fourier_motzkin_on_1000_random_lps():
         res = solve(lp)
         feasible = fm_feasible(len(lp.variables), lp.rows)
         assert (res.status != "infeasible") == feasible, f"trial {trial}"
+
+
+def test_infeasible_verdicts_pass_the_farkas_check(monkeypatch):
+    """Every "infeasible" among the LPs of the Fourier-Motzkin test has its
+    phase-1 multipliers checked against the normalized rows."""
+    checked = []
+    real = ratlp._certify_infeasible
+
+    def spy(*args):
+        real(*args)
+        checked.append(args)
+
+    monkeypatch.setattr(ratlp, "_certify_infeasible", spy)
+    rng = random.Random(2024)
+    statuses = [solve(_random_lp(rng)).status for _ in range(1000)]
+    assert len(checked) == statuses.count("infeasible") > 100
+
+
+def test_corrupted_pivot_cannot_pass_as_infeasible(monkeypatch):
+    # a pivot that leaves the last row's right-hand side off makes the
+    # phase-1 optimum nonzero on feasible LPs; no Farkas certificate exists
+    # for those, so the check must refuse every such verdict
+    rng = random.Random(2024)
+    feasible = [lp for lp in (_random_lp(rng) for _ in range(300)) if solve(lp).status != "infeasible"]
+    real = ratlp._pivot
+
+    def off_by_one(tab, r, c, d):
+        d = real(tab, r, c, d)
+        tab[-1][-1] += d
+        return d
+
+    monkeypatch.setattr(ratlp, "_pivot", off_by_one)
+    refused = 0
+    for lp in feasible:
+        try:
+            assert solve(lp).status != "infeasible"
+        except RuntimeError:
+            refused += 1
+    assert refused > 10
+
+
+def _rational(rng: random.Random, lo: int, hi: int) -> Fraction:
+    return Fraction(rng.randint(lo, hi), rng.choice((1, 1, 1, 2, 3, 5, 7)))
+
+
+def _draw_bounded_lp(rng: random.Random) -> LinearProgram:
+    """A random LP with rational data, finite and infinite bounds, rows of
+    every relation (most of them holding at one point inside the box, so
+    that most draws are feasible), and redundant equality rows."""
+    nvars = rng.randint(1, 6)
+    lower = [Fraction(0) if rng.random() < 0.5 else _rational(rng, -2, 2) for _ in range(nvars)]
+    upper = [None if rng.random() < 0.5 else lo + _rational(rng, 0, 4) for lo in lower]
+    x0 = [
+        lo + (_rational(rng, 0, 4) if up is None else (up - lo) * Fraction(rng.randint(0, 4), 4))
+        for lo, up in zip(lower, upper)
+    ]
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        coeffs = [_rational(rng, -4, 4) if rng.random() < 0.8 else Fraction(0) for _ in range(nvars)]
+        rel = rng.choice(["<=", "=", ">="])
+        if rng.random() < 0.85:
+            at = sum(c * x for c, x in zip(coeffs, x0))
+            slack = _rational(rng, 0, 3) if rng.random() < 0.6 else Fraction(0)
+            rhs = at + slack if rel == "<=" else at - slack if rel == ">=" else at
+        else:
+            rhs = _rational(rng, -6, 8)
+        rows.append((coeffs, rel, rhs))
+    # combinations of the equality rows already drawn leave artificials
+    # basic at zero after phase 1, and their rows get purged
+    equalities = [row for row in rows if row[1] == "="]
+    for _ in range(rng.randint(0, 2) if equalities else 0):
+        picks = rng.sample(equalities, min(len(equalities), rng.randint(1, 2)))
+        mults = [_rational(rng, -3, 3) or Fraction(-1) for _ in picks]
+        coeffs = [sum(m * row[0][j] for m, row in zip(mults, picks)) for j in range(nvars)]
+        rhs = sum(m * row[2] for m, row in zip(mults, picks))
+        rows.insert(rng.randint(0, len(rows)), (coeffs, "=", rhs))
+    objective = [_rational(rng, -3, 3) for _ in range(nvars)]
+    return LinearProgram.build([f"x{i}" for i in range(nvars)], objective, rows, lower, upper)
+
+
+def _result_doc(res) -> dict:
+    return {
+        "status": res.status,
+        "value": None if res.value is None else format_rational(res.value),
+        "point": None if res.point is None else [format_rational(v) for v in res.point],
+    }
+
+
+def test_results_match_the_recorded_fixture(fixtures_dir):
+    """Status, value and point of 300 seeded LPs, recorded with the earlier
+    solver that kept a Fraction tableau: both apply Bland's rule to the same
+    canonical tableau, so every result must be identical."""
+    recorded = json.loads((fixtures_dir / "lp_results.json").read_text())
+    rng = random.Random(recorded["seed"])
+    assert len(recorded["results"]) == 300
+    for k, want in enumerate(recorded["results"]):
+        assert _result_doc(solve(_draw_bounded_lp(rng))) == want, f"lp {k}"
 
 
 def test_solution_points_satisfy_constraints_exactly():

@@ -12,6 +12,7 @@ from antictx.errors import (
     ResourceLimitError,
     UnknownLabelError,
 )
+from antictx.ratlp import LinearProgram, solve
 from antictx.scenario import make_scenario
 from antictx.valuefns import (
     brute_force_antiset_bound,
@@ -307,6 +308,34 @@ def test_count_matches_naive_filter_on_random_scenarios():
     _, cases = _random_cases(11, 150)
     for s in cases:
         assert count_value_functions(s) == len(naive_value_functions(s))
+
+
+def test_membership_decomposition_matches_the_lp_over_the_naive_filter():
+    """The membership LP's columns are read off the search's masks as ints;
+    the same LP written out from the naive filter with Fraction entries
+    through LinearProgram.build must give the same weights, in order."""
+    rng, cases = _random_cases(23, 200, max_outcomes=8)
+    checked = 0
+    for s in cases:
+        naive = naive_value_functions(s)
+        if not naive:
+            continue
+        labels = sorted(s.outcomes)
+        chosen = rng.sample(naive, min(len(naive), 3))
+        mix = [rng.randint(1, 5) for _ in chosen]
+        state = {
+            a: Fraction(sum(w * bits[i] for bits, w in zip(chosen, mix)), sum(mix))
+            for i, a in enumerate(labels)
+        }
+        rows = [([bits[i] for bits in naive], "=", state[a]) for i, a in enumerate(labels)]
+        rows.append(([1] * len(naive), "=", 1))
+        reference = solve(LinearProgram.build([f"p{k}" for k in range(len(naive))], rows=rows))
+        verdict = is_noncontextual_state(s, state)
+        assert [(vf.labels, vf.values, p) for vf, p in verdict.decomposition.weights] == [
+            (tuple(labels), bits, p) for bits, p in zip(naive, reference.point) if p
+        ]
+        checked += 1
+    assert checked > 100
 
 
 def test_definite_intersection_matches_naive_filter_on_random_scenarios():
