@@ -32,11 +32,13 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     OverlapRangeError,
+    ResourceLimitError,
     ScenarioParseError,
     UnknownLabelError,
 )
 from .quantum import TOLERANCE, GramData, PureStateSet, gram, states_from_doc
 from .scenario import Scenario, read_document
+from .valuefns import DEFAULT_NODE_BUDGET
 
 __all__ = [
     "TripleOverlaps",
@@ -205,13 +207,18 @@ class ScenarioAntidistVerdict:
     via: str = "combinatorial"
 
 
-def scenario_antidistinguishable(s: Scenario, members: Iterable[str]) -> ScenarioAntidistVerdict:
+def scenario_antidistinguishable(
+    s: Scenario, members: Iterable[str], *, node_budget: int | None = None
+) -> ScenarioAntidistVerdict:
     """Exhaustive search for a combinatorial antidistinguishability witness.
 
     Scans contexts in canonical order and, within each, injective
     assignments of blockers in lexicographic order, so the first witness is
-    deterministic.
+    deterministic.  Each assignment tried is one node; ResourceLimitError is
+    raised past `node_budget` nodes (default 10^8).
     """
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    nodes = 0
     targets = tuple(sorted(set(members)))
     if not targets:
         raise UnknownLabelError("the outcome set to test must be nonempty")
@@ -233,6 +240,9 @@ def scenario_antidistinguishable(s: Scenario, members: Iterable[str]) -> Scenari
         if len(context) < n:
             continue
         for blockers in itertools.permutations(context, n):
+            nodes += 1
+            if nodes > budget:
+                raise ResourceLimitError(f"antidistinguishability search exceeded {budget} nodes")
             assignment = []
             ok = True
             for a, perp in zip(targets, blockers):

@@ -367,7 +367,7 @@ def _row_example3(tol, budget):
     target = ensembles.generate_scenario("antidist_example")
     targets = ["a1", "a2", "a3"]
     empty = not valuefns.definite_intersection(target, targets, node_budget=budget)
-    verdict = antidist.scenario_antidistinguishable(target, targets)
+    verdict = antidist.scenario_antidistinguishable(target, targets, node_budget=budget)
     witness_ok = verdict.antidistinguishable and verdict.context == (
         "a1_perp",
         "a2_perp",

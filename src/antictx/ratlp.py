@@ -155,11 +155,12 @@ def solve(lp: LinearProgram) -> LPResult:
             unit[j] = 1
             rows.append((unit, LE, ub - lp.lower[j]))
 
-    status, y = _solve_nonneg(n, rows, lp.objective)
+    status, y, optimum = _solve_nonneg(n, rows, lp.objective)
     if status != "optimal":
         return LPResult(status)
     point = tuple(v + lo for v, lo in zip(y, lp.lower))
-    value = _dot(lp.objective, point)
+    # the tableau's optimum, shifted back; _certify checks it against the point
+    value = optimum + _dot(lp.objective, lp.lower)
     _certify(lp, point, value)
     return LPResult("optimal", value, point)
 
@@ -172,8 +173,9 @@ def _solve_nonneg(
     nvars: int,
     rows: list[tuple[Sequence[Fraction], str, Fraction]],
     objective: Sequence[Fraction],
-) -> tuple[str, list[Fraction] | None]:
-    """Maximize objective . y over y >= 0 subject to `rows`.
+) -> tuple[str, list[Fraction] | None, Fraction | None]:
+    """Maximize objective . y over y >= 0 subject to `rows`; return the
+    status, the point and the optimum read off the cost row.
 
     The tableau is kept in integers: row i of `tab` is D times the canonical
     simplex row, D > 0 being the determinant of the current basis, and the
@@ -227,7 +229,7 @@ def _solve_nonneg(
         cost = tab.pop()
         if not bounded or cost[-1]:
             _certify_infeasible(initial, start, cost, d, nreal)
-            return ("infeasible", None)
+            return ("infeasible", None, None)
         # Artificials never enter again: drop their columns, then pivot the
         # basic ones (at value 0) out on any real column; a row with no real
         # pivot is redundant and is dropped.
@@ -252,12 +254,13 @@ def _solve_nonneg(
     tab.append(cost)
     d, bounded = _run_simplex(tab, basis, d)
     if not bounded:
-        return ("unbounded", None)
+        return ("unbounded", None, None)
     point = [_ZERO] * nvars
     for b, row in zip(basis, tab):
         if b < nvars:
             point[b] = Fraction(row[-1], d * k)
-    return ("optimal", point)
+    # the cost row's rhs is -D * K * scale times the objective's value
+    return ("optimal", point, Fraction(-tab[-1][-1], d * k * scale))
 
 
 def _pivot(tab: list[list[int]], r: int, c: int, d: int) -> int:

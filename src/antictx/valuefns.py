@@ -10,21 +10,32 @@ Finding value functions is exact cover with secondary items (Knuth,
 partial contexts at most once.  One search answers every question here.  It
 holds a partial assignment as two bitmasks, `ones` and `zeros`, with label i
 of the canonical order at bit n-1-i, so masks compare like the 0/1 vectors.
-A 1 zeroes every outcome sharing a (partial) context with it.  The search
-branches on the open context with the fewest free members, trying each as
-its 1; with every context closed, it branches 0/1 on the first free outcome.
-Each branch is one node of the node budget.  The search keeps its own stack,
-so no scenario is too deep for it.  Enumeration sorts the masks found,
-definite intersections start from the forced 1s, and classical bounds count
-and keep the heaviest value function under integer weights, building no
-list.  There is no tolerance anywhere in this module.
+A 1 zeroes every outcome sharing a (partial) context with it.
+
+A scenario is first split into the connected components of its
+(partial-)context hypergraph; the outcomes in no set form one more
+component.  Components share no outcome, so each is searched on its own and
+the results combine: counts multiply, maxima add up, and the
+lexicographically first maximizer is the sum of the components' first
+maximizers.  Within a component the search branches on the open context
+with the fewest free members, trying each as its 1; with every context
+closed, it branches 0/1 on the first free outcome.  Each branch is one node
+of the node budget, which all components of one question share.  The search
+keeps its own stack, so no scenario is too deep for it.
+
+Enumeration, definite intersections and membership build the product of the
+components' sorted mask lists, charging one node per value function built,
+so the budget also caps the list.  Classical bounds count and keep the
+heaviest value function under integer weights, building no list.  A
+`ValueFunction` holds its mask, not a vector.  There is no tolerance
+anywhere in this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Mapping
 
 from . import ratlp
@@ -56,18 +67,29 @@ __all__ = [
 DEFAULT_NODE_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueFunction:
-    """A total 0/1 assignment, stored over the canonical outcome order."""
+    """A total 0/1 assignment over the canonical outcome order.
+
+    `ones` is the mask of the outcomes set to 1, label i at bit n-1-i, so
+    masks compare like the 0/1 vectors.
+    """
 
     labels: tuple[str, ...]
-    values: tuple[int, ...]
+    ones: int
 
     def __getitem__(self, label: str) -> int:
         try:
-            return self.values[self.labels.index(label)]
+            i = self.labels.index(label)
         except ValueError:
             raise UnknownLabelError(f"unknown outcome {label!r}") from None
+        return self.ones >> (len(self.labels) - 1 - i) & 1
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        # a leading 1 keeps the leading 0s (and gives n = 0 an empty vector)
+        digits = format(self.ones | 1 << len(self.labels), "b")[1:]
+        return tuple(digits.encode().translate(bytes.maketrans(b"01", b"\0\1")))
 
     @property
     def assignment(self) -> dict[str, int]:
@@ -112,33 +134,69 @@ class MembershipVerdict:
         return self.status == "member"
 
 
-def _search(s: Scenario, node_budget, forced=(), gains=None):
-    """Yield (ones, weight) for each value function setting `forced` to 1:
-    its mask over `s.outcomes` and the sum of the integer `gains` of its 1s."""
+class _Budget:
+    """The nodes one question may still spend, shared by the searches of its
+    components and by the assembly of their product."""
+
+    __slots__ = ("limit", "left")
+
+    def __init__(self, node_budget: int | None):
+        self.limit = self.left = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+
+    def charge(self, nodes: int) -> None:
+        self.left -= nodes
+        if self.left < 0:
+            raise ResourceLimitError(f"value-function search exceeded {self.limit} nodes")
+
+
+def _components(s: Scenario, budget: _Budget, forced=(), gains=None):
+    """Yield one leaf generator per connected component of the (partial-)
+    context hypergraph of `s` (see `_search`); the outcomes in no set form
+    one more component."""
     check_members_known(s)
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     n = len(s.outcomes)
     bit = {a: 1 << (n - 1 - i) for i, a in enumerate(s.outcomes)}
-    # an outcome set to 1 zeroes every other member of its (partial) contexts
     masks = [sum(bit[a] for a in members) for members in s.all_sets()]
+    # an outcome set to 1 zeroes every other member of its (partial) contexts
     zeroed = dict.fromkeys(bit.values(), 0)
-    for members, mask in zip(s.all_sets(), masks):
+    parts: dict[int, list[int]] = {}  # outcomes of a component -> its context indices
+    for i, (members, mask) in enumerate(zip(s.all_sets(), masks)):
         for a in members:
             zeroed[bit[a]] |= mask & ~bit[a]
+        joined, contexts = mask, [i] if i < len(s.contexts) else []
+        for part in [part for part in parts if part & mask]:
+            joined |= part
+            contexts += parts.pop(part)
+        parts.setdefault(joined, []).extend(contexts)  # empty sets share the key 0
+    free = ((1 << n) - 1) & ~sum(parts)
+    if free:
+        parts[free] = []
     gain = {b: (gains or {}).get(a, 0) for a, b in bit.items()}
+    forced_ones = sum(map(bit.get, forced))
+    for outcomes, contexts in sorted(parts.items(), reverse=True):
+        # contexts keep the scenario's order, so ties in branching do too
+        yield _search(
+            outcomes, [masks[i] for i in sorted(contexts)], zeroed, gain, budget,
+            forced_ones & outcomes,
+        )
 
+
+def _search(outcomes: int, contexts: list[int], zeroed, gain, budget: _Budget, forced: int):
+    """Yield (ones, weight) for each assignment of the component `outcomes`
+    that gives every context in it one 1 and sets `forced` to 1: the mask of
+    its 1s and the sum of their integer gains."""
     ones = zeros = weight = 0
-    for b in map(bit.get, forced):
+    while forced:
+        b = forced & -forced
+        forced ^= b
         if b & zeros:
             return  # two forced outcomes share a (partial) context
         ones, zeros, weight = ones | b, zeros | zeroed[b], weight + gain[b]
-    full = (1 << n) - 1
-    nodes = 0
-    stack = [(ones, zeros, weight, masks[: len(s.contexts)])]
+    stack = [(ones, zeros, weight, contexts)]
     while stack:
         ones, zeros, weight, candidates = stack.pop()
         allowed = ~zeros
-        pick, fewest, still_open = 0, n + 1, []
+        pick, fewest, still_open = 0, len(zeroed) + 1, []
         for members in candidates:
             if members & ones:
                 continue
@@ -155,49 +213,59 @@ def _search(s: Scenario, node_budget, forced=(), gains=None):
         if not fewest:
             continue  # a context can no longer get its 1
         if not pick:  # every context has its 1: branch 0/1 on the first free outcome
-            free = full & allowed & ~ones
+            free = outcomes & allowed & ~ones
             if not free:
                 yield ones, weight
                 continue
             pick = 1 << (free.bit_length() - 1)
             stack.append((ones, zeros | pick, weight, still_open))
             fewest = 2
-        nodes += fewest
-        if nodes > budget:
-            raise ResourceLimitError(f"value-function search exceeded {budget} nodes")
+        budget.charge(fewest)
         while pick:
             b = pick & -pick
             pick ^= b
             stack.append((ones | b, zeros | zeroed[b], weight + gain[b], still_open))
 
 
-_BITS = bytes.maketrans(b"01", bytes([0, 1]))
-
-
-def _value_function(labels: tuple[str, ...], ones: int) -> ValueFunction:
-    # a leading 1 keeps the leading 0s (and gives n = 0 an empty vector)
-    digits = format(ones | 1 << len(labels), "b")[1:]
-    return ValueFunction(labels, tuple(digits.encode().translate(_BITS)))
+def _masks(s: Scenario, node_budget, forced=()) -> list[int]:
+    """The sorted masks of the value functions setting `forced` to 1: the
+    product of the components' masks, one node charged per mask built."""
+    budget = _Budget(node_budget)
+    factors = []
+    for leaves in _components(s, budget, forced):
+        found = sorted(ones for ones, _ in leaves)
+        if not found:
+            return []
+        factors.append(found)
+    budget.charge(prod(map(len, factors)))
+    product = [0]
+    for found in factors:
+        product = [a | b for a in product for b in found]
+    product.sort()  # components can interleave their bits
+    return product
 
 
 def _value_functions(s: Scenario, node_budget, forced=()) -> list[ValueFunction]:
-    vfs = sorted(ones for ones, _ in _search(s, node_budget, forced))
-    for i, ones in enumerate(vfs):  # in place: each mask is freed as it is replaced
-        vfs[i] = _value_function(s.outcomes, ones)
-    return vfs
+    labels = s.outcomes
+    return [ValueFunction(labels, ones) for ones in _masks(s, node_budget, forced)]
 
 
 def _best(s: Scenario, gains: Mapping[str, int], node_budget):
     """Count the value functions and find the lexicographically first one
-    of maximum weight, without building the list."""
-    count, best, best_ones = 0, None, 0
-    for ones, weight in _search(s, node_budget, gains=gains):
-        count += 1
-        if best is None or weight > best or (weight == best and ones < best_ones):
-            best, best_ones = weight, ones
-    if not count:
-        raise EmptyPolytopeError("scenario has no value functions; bound undefined")
-    return count, best, _value_function(s.outcomes, best_ones)
+    of maximum weight, without building the list: counts multiply over the
+    components, and maxima and first maximizers add up, since components
+    share no outcome."""
+    count, best, best_ones = 1, 0, 0
+    for leaves in _components(s, _Budget(node_budget), gains=gains):
+        part_count, part_best, part_ones = 0, None, 0
+        for ones, weight in leaves:
+            part_count += 1
+            if part_best is None or weight > part_best or (weight == part_best and ones < part_ones):
+                part_best, part_ones = weight, ones
+        if not part_count:
+            raise EmptyPolytopeError("scenario has no value functions; bound undefined")
+        count, best, best_ones = count * part_count, best + part_best, best_ones | part_ones
+    return count, best, ValueFunction(s.outcomes, best_ones)
 
 
 def enumerate_value_functions(
@@ -212,8 +280,14 @@ def enumerate_value_functions(
 
 
 def count_value_functions(s: Scenario, *, node_budget: int | None = None) -> int:
-    """The number of value functions, without building them."""
-    return sum(1 for _ in _search(s, node_budget))
+    """The number of value functions, without building them: the product
+    of the components' counts."""
+    count = 1
+    for leaves in _components(s, _Budget(node_budget)):
+        count *= sum(1 for _ in leaves)
+        if not count:
+            break
+    return count
 
 
 def _check_labels(s: Scenario, labels: Iterable[str]) -> None:
@@ -283,7 +357,7 @@ def is_noncontextual_state(
     Raises NotAStateError when the input is not a state at all.
     """
     full = _check_state(s, state)
-    masks = sorted(ones for ones, _ in _search(s, node_budget))
+    masks = _masks(s, node_budget)
     if not masks:
         return MembershipVerdict("empty-polytope")
     # one column per value function, its 0/1 entries read off the mask
@@ -300,7 +374,7 @@ def is_noncontextual_state(
     if result.status != "optimal":
         return MembershipVerdict("not-member")
     weights = tuple(
-        (_value_function(s.outcomes, ones), p) for ones, p in zip(masks, result.point) if p
+        (ValueFunction(s.outcomes, ones), p) for ones, p in zip(masks, result.point) if p
     )
     decomposition = NoncontextualDecomposition(weights)
     if decomposition.induced_state() != full:

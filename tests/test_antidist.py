@@ -15,7 +15,7 @@ from antictx.antidist import (
     verify_certificate,
 )
 from antictx.ensembles import FamilySpec, generate_scenario, generate_states
-from antictx.errors import OverlapRangeError, UnknownLabelError
+from antictx.errors import OverlapRangeError, ResourceLimitError, UnknownLabelError
 from antictx.quantum import PureStateSet, gram, scenario_from_states
 from antictx.scenario import make_scenario, validate_scenario
 
@@ -251,6 +251,15 @@ def test_unknown_labels_and_empty_set():
         scenario_antidistinguishable(s, ["zz"])
     with pytest.raises(UnknownLabelError):
         scenario_antidistinguishable(s, [])
+
+
+def test_witness_search_obeys_the_node_budget():
+    # 12 * 11 * ... * 7 = 665,280 blocker assignments, none of them a witness
+    context = [f"c{i:02d}" for i in range(12)]
+    targets = [f"t{i}" for i in range(6)]
+    s = make_scenario(context + targets, [context])
+    with pytest.raises(ResourceLimitError):
+        scenario_antidistinguishable(s, targets, node_budget=100)
 
 
 def test_monotone_under_added_sets():

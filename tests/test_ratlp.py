@@ -220,6 +220,33 @@ def test_corrupted_pivot_cannot_pass_as_infeasible(monkeypatch):
     assert refused > 10
 
 
+def test_shifted_cost_row_cannot_pass_as_optimal(monkeypatch):
+    # <= rows with nonnegative right-hand sides and finite upper bounds need
+    # no phase 1 and always have an optimum; a phase-2 cost row whose
+    # right-hand side is off by D misstates that optimum, and the objective
+    # check must refuse every such result
+    rng = random.Random(2025)
+    real = ratlp._run_simplex
+
+    def shifted(tab, basis, d):
+        d, bounded = real(tab, basis, d)
+        tab[-1][-1] += d
+        return d, bounded
+
+    monkeypatch.setattr(ratlp, "_run_simplex", shifted)
+    for _ in range(50):
+        nvars = rng.randint(1, 5)
+        rows = [
+            ([_rational(rng, -4, 4) for _ in range(nvars)], "<=", _rational(rng, 0, 8))
+            for _ in range(rng.randint(1, 6))
+        ]
+        objective = [_rational(rng, -3, 3) for _ in range(nvars)]
+        upper = [_rational(rng, 1, 5) for _ in range(nvars)]
+        lp = LinearProgram.build([f"x{i}" for i in range(nvars)], objective, rows, upper=upper)
+        with pytest.raises(RuntimeError, match="objective mismatch"):
+            solve(lp)
+
+
 def _rational(rng: random.Random, lo: int, hi: int) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.choice((1, 1, 1, 2, 3, 5, 7)))
 

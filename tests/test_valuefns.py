@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from antictx.antidist import scenario_antidistinguishable
-from antictx.ensembles import generate_scenario
+from antictx.ensembles import FamilySpec, generate_scenario, generate_states
 from antictx.errors import (
     EmptyPolytopeError,
     NotAStateError,
     ResourceLimitError,
     UnknownLabelError,
 )
+from antictx.quantum import scenario_from_states
 from antictx.ratlp import LinearProgram, solve
 from antictx.scenario import make_scenario
 from antictx.valuefns import (
@@ -437,3 +438,94 @@ def test_count_obeys_node_budget():
         count_value_functions(generate_scenario("klyachko"), node_budget=2)
     with pytest.raises(ResourceLimitError):
         count_value_functions(_one_big_context(1500), node_budget=100)
+
+
+# ------------------------- independent components: disjoint unions against
+# the naive filter, counts that no list could hold, and the full MUB d=7
+
+
+def _disjoint_union(parts):
+    """The union of scenarios over fresh labels: outcome i of part j is
+    o<i><letter j>, so the parts' outcomes interleave in the canonical order."""
+    outcomes, contexts, partials = [], [], []
+    for j, s in enumerate(parts):
+        rename = {a: f"{a}{'abcd'[j]}" for a in s.outcomes}
+        outcomes += rename.values()
+        contexts += [[rename[a] for a in m] for m in s.contexts]
+        partials += [[rename[a] for a in m] for m in s.partial_contexts]
+    return make_scenario(outcomes, contexts, partials)
+
+
+def _lp_over_naive(naive, labels, state):
+    rows = [([bits[i] for bits in naive], "=", state[a]) for i, a in enumerate(labels)]
+    rows.append(([1] * len(naive), "=", 1))
+    return solve(LinearProgram.build([f"p{k}" for k in range(len(naive))], rows=rows))
+
+
+def test_disjoint_unions_match_the_naive_filter():
+    rng = random.Random(77)
+    checked = 0
+    for _ in range(60):
+        k = rng.randint(2, 4)
+        s = _disjoint_union([random_scenario(rng, max_outcomes=12 // k) for _ in range(k)])
+        labels = list(s.outcomes)
+        naive = naive_value_functions(s)
+        assert [vf.values for vf in enumerate_value_functions(s)] == naive
+        assert count_value_functions(s) == len(naive)
+        forced = rng.sample(labels, rng.randint(1, min(3, len(labels))))
+        assert [vf.values for vf in definite_intersection(s, forced)] == [
+            bits for bits in naive if all(bits[labels.index(a)] for a in forced)
+        ]
+        coeffs = {a: Fraction(rng.randint(-1, 2), rng.choice((1, 2))) for a in labels}
+        if not naive:
+            with pytest.raises(EmptyPolytopeError):
+                classical_bound(s, coeffs)
+            continue
+        values = [sum((coeffs[a] for a, bit in zip(labels, bits) if bit), Fraction(0)) for bits in naive]
+        result = classical_bound(s, coeffs)
+        assert result.bound == max(values)
+        assert result.maximizer.values == naive[values.index(max(values))]
+        assert result.value_function_count == len(naive)
+        chosen = rng.sample(naive, min(len(naive), 3))
+        mix = [rng.randint(1, 5) for _ in chosen]
+        state = {
+            a: Fraction(sum(w * bits[i] for bits, w in zip(chosen, mix)), sum(mix))
+            for i, a in enumerate(labels)
+        }
+        reference = _lp_over_naive(naive, labels, state)
+        verdict = is_noncontextual_state(s, state)
+        assert [(vf.values, p) for vf, p in verdict.decomposition.weights] == [
+            (bits, p) for bits, p in zip(naive, reference.point) if p
+        ]
+        checked += 1
+    assert checked > 30
+
+
+def test_contextual_component_makes_the_union_contextual():
+    klyachko = generate_scenario("klyachko")
+    small = make_scenario(["x", "y", "z"], [["x", "y"]], [["y", "z"]])
+    s = _disjoint_union([klyachko, small])
+    labels = list(s.outcomes)
+    state = {a: Fraction(1, 2) if a.endswith("a") else Fraction(int(a == "xb")) for a in labels}
+    assert _lp_over_naive(naive_value_functions(s), labels, state).status == "infeasible"
+    assert is_noncontextual_state(s, state).status == "not-member"
+
+
+def test_counts_multiply_past_any_list():
+    labels = [f"o{i:02d}{side}" for i in range(40) for side in "xy"]
+    s = make_scenario(labels, [[f"o{i:02d}x", f"o{i:02d}y"] for i in range(40)])
+    assert count_value_functions(s) == 2**40
+    result = classical_bound(s, {"o07x": 1})
+    assert result.value_function_count == 2**40
+    assert result.bound == 1 and result.maximizer.support()[7] == "o07x"
+    # one node per value function assembled: the list itself is capped
+    with pytest.raises(ResourceLimitError):
+        enumerate_value_functions(s, node_budget=10_000)
+
+
+def test_full_mub_d7_all_ones_bound():
+    s = scenario_from_states(generate_states(FamilySpec("mub", 7)))
+    assert len(s.contexts) == 8 and not s.partial_contexts
+    result = classical_bound(s, dict.fromkeys(s.outcomes, 1))
+    assert result.bound == 8
+    assert result.value_function_count == 7**8 == 5_764_801
