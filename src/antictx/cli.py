@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import antidist, antiset, ensembles, quantum, ratlp, scenario, valuefns
+from . import antidist, antiset, ensembles, quantum, ratlp, reproduce, scenario, valuefns
 from .ensembles import FamilySpec
 from .errors import (
     AntictxError,
@@ -304,277 +304,10 @@ def _cmd_generate(args, ctx) -> CommandResult:
     return _document(quantum.save_states(ensembles.generate_states(FamilySpec(name, args.d, args.subset))))
 
 
-# ------------------------------------------------------------- reproduce
-
-
-def _row_specker(tol, budget):
-    s = ensembles.generate_scenario("specker")
-    count = valuefns.count_value_functions(s, node_budget=budget)
-    unique = ratlp.state_uniqueness(s)
-    point_ok = unique.status == "unique" and all(v == Fraction(1, 2) for _, v in unique.point)
-    return {
-        "classical_bound": None,
-        "quantum_value": None,
-        "violated": None,
-        "expected": "no value functions; unique state (1/2, 1/2, 1/2)",
-        "pass": count == 0 and point_ok,
-        "detail": f"value functions: {count}; state space: {unique.status}",
-    }
-
-
-def _row_no_state(tol, budget):
-    s = ensembles.generate_scenario("no_state_example")
-    result = ratlp.state_optimize(s, {a: 1 for a in s.outcomes})
-    return {
-        "classical_bound": None,
-        "quantum_value": None,
-        "violated": None,
-        "expected": "state polytope is empty",
-        "pass": result.status == "infeasible",
-        "detail": f"LP status: {result.status}",
-    }
-
-
-def _row_klyachko(tol, budget):
-    s = ensembles.generate_scenario("klyachko")
-    ones = {a: 1 for a in s.outcomes}
-    cb = valuefns.classical_bound(s, ones, node_budget=budget)
-    sb = ratlp.state_optimize(s, ones)
-    half = {a: Fraction(1, 2) for a in s.outcomes}
-    member = valuefns.is_noncontextual_state(s, half, node_budget=budget)
-    ok = (
-        cb.bound == 2
-        and cb.value_function_count == 11
-        and sb.value == Fraction(5, 2)
-        and member.status == "not-member"
-    )
-    return {
-        "classical_bound": format_rational(cb.bound),
-        "quantum_value": None,
-        "violated": None,
-        "expected": "bound 2, 11 value functions, state optimum 5/2, omega=1/2 contextual",
-        "pass": ok,
-        "detail": (
-            f"count={cb.value_function_count}, state_bound={format_rational(sb.value)}, "
-            f"omega_half={member.status}"
-        ),
-    }
-
-
-def _row_example3(tol, budget):
-    states = ensembles.generate_states(FamilySpec("caves_example"))
-    generated = quantum.scenario_from_states(states, tol)
-    target = ensembles.generate_scenario("antidist_example")
-    targets = ["a1", "a2", "a3"]
-    empty = not valuefns.definite_intersection(target, targets, node_budget=budget)
-    verdict = antidist.scenario_antidistinguishable(target, targets, node_budget=budget)
-    witness_ok = verdict.antidistinguishable and verdict.context == (
-        "a1_perp",
-        "a2_perp",
-        "a3_perp",
-    )
-    return {
-        "classical_bound": None,
-        "quantum_value": None,
-        "violated": None,
-        "expected": "generated scenario matches; definite intersection empty; set antidistinguishable",
-        "pass": generated == target and empty and witness_ok,
-        "detail": f"scenario_match={generated == target}, definite_intersection_empty={empty}, witness={verdict.context}",
-    }
-
-
-def _row_yu_oh(tol, budget):
-    rays = ensembles.generate_states(FamilySpec("yu_oh_rays"))
-    basis = ensembles.generate_states(FamilySpec("yu_oh_principal"))
-    combined = rays.union(basis)
-    aset = antiset.verify_strong_antiset(combined, rays.labels, basis.labels, tol)
-    ineq = antiset.inequality_from_antiset(aset)
-    _, lam = quantum.frame_operator(rays, tol)
-    report = antiset.evaluate_inequality(
-        ineq, combined, DensityOperator.maximally_mixed(3), tol
-    )
-    expected_q = 4 / 3
-    ok = (
-        ineq.bound == 1
-        and len(aset.triple_log) == 18
-        and all(v.boundary for *_, v in aset.triple_log)
-        and lam is not None
-        and abs(lam - expected_q) <= 10 * tol
-        and abs(report.lhs - expected_q) <= 10 * tol
-        and report.violated
-    )
-    return {
-        "classical_bound": format_rational(ineq.bound),
-        "quantum_value": report.lhs,
-        "violated": report.violated,
-        "expected": "bound 1, quantum value 4/3, violated",
-        "pass": ok,
-        "detail": f"triples={len(aset.triple_log)}, frame_lambda={lam}",
-    }
-
-
-def _row_hadamard(d):
-    def build(tol, budget):
-        b0 = ensembles.generate_states(FamilySpec("hadamard", d, "B0"))
-        b1 = ensembles.generate_states(FamilySpec("hadamard", d, "B1"))
-        basis = ensembles.generate_states(FamilySpec("standard_basis", d))
-        aset0 = antiset.verify_strong_antiset(b0.union(basis), b0.labels, basis.labels, tol)
-        aset1 = antiset.verify_strong_antiset(b1.union(basis), b1.labels, basis.labels, tol)
-        ineq = antiset.add_inequality(
-            antiset.inequality_from_antiset(aset0), antiset.inequality_from_antiset(aset1)
-        )
-        full = b0.union(b1)
-        report = antiset.evaluate_inequality(
-            ineq, full, DensityOperator.maximally_mixed(d), tol
-        )
-        expected_q = 2**d / d
-        ok = (
-            ineq.bound == 2
-            and abs(report.lhs - expected_q) <= 10 * tol
-            and report.violated == (d >= 3)
-        )
-        return {
-            "classical_bound": format_rational(ineq.bound),
-            "quantum_value": report.lhs,
-            "violated": report.violated,
-            "expected": f"bound 2, quantum value {2**d}/{d}, violated iff d >= 3",
-            "pass": ok,
-            "detail": f"members=2x{2 ** (d - 1)}",
-        }
-
-    return build
-
-
-def _row_mub(tol, budget):
-    states = ensembles.generate_states(FamilySpec("mub", 5))
-    principal = [f"a1_{k}" for k in range(1, 6)]
-    members = [a for a in states.labels if not a.startswith("a1_")]
-    aset = antiset.verify_strong_antiset(states, members, principal, tol)
-    ineq = antiset.add_context_normalization(antiset.inequality_from_antiset(aset), principal)
-    report = antiset.evaluate_inequality(
-        ineq, states, DensityOperator.maximally_mixed(5), tol
-    )
-    ok = ineq.bound == 2 and abs(report.lhs - 6.0) <= 10 * tol and report.violated
-    return {
-        "classical_bound": format_rational(ineq.bound),
-        "quantum_value": report.lhs,
-        "violated": report.violated,
-        "expected": "bound 2, quantum value 6, violated",
-        "pass": ok,
-        "detail": f"members={len(members)}, triples={len(aset.triple_log)}",
-    }
-
-
-def _row_maroney(d):
-    def build(tol, budget):
-        states = ensembles.generate_states(FamilySpec("maroney", d))
-        members = [f"a{j}" for j in range(1, d)]
-        aset = antiset.verify_weak_antiset(states, members, "c", tol)
-        ineq = antiset.inequality_from_antiset(aset)
-        rho = DensityOperator.from_pure(states.vector("c"))
-        report = antiset.evaluate_inequality(ineq, states, rho, tol)
-        expected_q = (d - 1) / 3
-        ok = (
-            ineq.bound == 1
-            and ineq.kind == "state-dependent"
-            and abs(report.lhs - expected_q) <= 10 * tol
-            and report.side_constraints_satisfied
-            and report.violated == (d >= 5)
-        )
-        return {
-            "classical_bound": format_rational(ineq.bound),
-            "quantum_value": report.lhs,
-            "violated": report.violated,
-            "expected": f"bound 1 given omega(c)=1, quantum value {d - 1}/3, violated iff d >= 5",
-            "pass": ok,
-            "detail": f"kind={ineq.kind}",
-        }
-
-    return build
-
-
-def _row_sic(tol, budget):
-    states = ensembles.generate_states(FamilySpec("sic", 3))
-    members = [f"a{j}" for j in range(2, 10)]
-    aset = antiset.verify_weak_antiset(states, members, "a1", tol)
-    ineq = antiset.add_constrained_outcome(antiset.inequality_from_antiset(aset), "a1")
-    rho = DensityOperator.from_pure(states.vector("a1"))
-    report = antiset.evaluate_inequality(ineq, states, rho, tol)
-    ok = (
-        ineq.bound == 2
-        and abs(report.lhs - 3.0) <= 10 * tol
-        and report.violated
-        and report.side_constraints_satisfied
-    )
-    return {
-        "classical_bound": format_rational(ineq.bound),
-        "quantum_value": report.lhs,
-        "violated": report.violated,
-        "expected": "bound 2 given omega(a1)=1, quantum value 3, violated",
-        "pass": ok,
-        "detail": f"boundary_triples={sum(1 for *_, v in aset.triple_log if v.boundary)}",
-    }
-
-
-def reproduce_rows(tol: float, budget: int | None) -> list[dict]:
-    builders = [
-        ("specker", _row_specker),
-        ("no-state", _row_no_state),
-        ("klyachko", _row_klyachko),
-        ("example3-bridge", _row_example3),
-        ("yu-oh", _row_yu_oh),
-        ("hadamard-d3", _row_hadamard(3)),
-        ("hadamard-d4", _row_hadamard(4)),
-        ("hadamard-d5", _row_hadamard(5)),
-        ("hadamard-d6", _row_hadamard(6)),
-        ("mub-d5", _row_mub),
-        ("maroney-d4", _row_maroney(4)),
-        ("maroney-d5", _row_maroney(5)),
-        ("maroney-d6", _row_maroney(6)),
-        ("maroney-d7", _row_maroney(7)),
-        ("sic-d3", _row_sic),
-    ]
-    rows = []
-    for name, build in builders:
-        try:
-            row = build(tol, budget)
-        except Exception as exc:  # noqa: BLE001 - a broken row must not kill the table
-            row = {
-                "classical_bound": None,
-                "quantum_value": None,
-                "violated": None,
-                "expected": "",
-                "pass": False,
-                "detail": f"error: {exc}",
-            }
-        rows.append({"example": name, **row})
-    return rows
-
-
-def _reproduce_text(rows: list[dict]) -> str:
-    header = f"{'example':<16} {'bound':>6} {'quantum':>10} {'violated':>8}  result"
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        bound = row["classical_bound"] if row["classical_bound"] is not None else "-"
-        quantum_value = (
-            f"{row['quantum_value']:.6f}" if row["quantum_value"] is not None else "-"
-        )
-        violated = {True: "yes", False: "no", None: "-"}[row["violated"]]
-        status = "PASS" if row["pass"] else "FAIL"
-        lines.append(f"{row['example']:<16} {bound:>6} {quantum_value:>10} {violated:>8}  {status}")
-        if not row["pass"]:
-            lines.append(f"    {row['detail']}")
-    failed = [row["example"] for row in rows if not row["pass"]]
-    lines.append(
-        "all rows pass" if not failed else f"FAILED: {failed[0]} (total {len(failed)} failing)"
-    )
-    return "\n".join(lines)
-
-
 def _cmd_reproduce(args, ctx) -> CommandResult:
-    rows = reproduce_rows(ctx["tolerance"], ctx["node_budget"])
+    rows = reproduce.table(ctx["tolerance"], ctx["node_budget"])
     exit_code = EXIT_OK if all(row["pass"] for row in rows) else EXIT_NEGATIVE
-    return CommandResult(exit_code, rows, _reproduce_text(rows))
+    return CommandResult(exit_code, rows, reproduce.render(rows))
 
 
 # ---------------------------------------------------------------- parser

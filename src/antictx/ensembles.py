@@ -134,8 +134,8 @@ def _caves_example() -> PureStateSet:
 
 
 def _hadamard(d: int, subset: str) -> PureStateSet:
-    if d < 2:
-        raise UnsupportedParameterError("hadamard needs dimension >= 2")
+    if not 2 <= d <= 12:  # 2^d states: d = 16 would need a 64 GiB Gram matrix
+        raise UnsupportedParameterError(f"hadamard needs a dimension in [2, 12], got {d}")
     if subset not in ("B0", "B1", "full"):
         raise UnsupportedParameterError(f"unknown hadamard subset {subset!r}")
     scale = 1 / math.sqrt(d)

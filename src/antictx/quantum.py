@@ -222,7 +222,8 @@ def scenario_from_states(states: PureStateSet, tol: float = TOLERANCE) -> Scenar
     vertices) become partial contexts.  Isolated vertices contribute no
     set.  Raises DuplicateRayError when two states coincide up to phase and
     ToleranceAmbiguityError when any overlap falls in (tol, 10*tol), where
-    the orthogonality cut would be unsafe.
+    the orthogonality cut would be unsafe, or when more than d states come
+    out mutually orthogonal.
     """
     if states.dimension < 2:
         raise ValueError("scenario generation needs dimension >= 2")
@@ -247,9 +248,9 @@ def scenario_from_states(states: PureStateSet, tol: float = TOLERANCE) -> Scenar
     partial_contexts = []
     for clique in maximal_cliques(n, adjacency):
         if len(clique) > states.dimension:
-            raise RuntimeError(
+            raise ToleranceAmbiguityError(
                 f"orthogonality graph has a clique of {len(clique)} > d mutually "
-                "orthogonal states; tolerance settings are inconsistent"
+                "orthogonal states; the tolerance is too loose"
             )
         members = [states.labels[i] for i in clique]
         if len(clique) == states.dimension:

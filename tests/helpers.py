@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from antictx.scenario import Scenario, make_scenario, validate_scenario
 
@@ -56,25 +56,25 @@ def random_scenario(rng: random.Random, max_outcomes: int = 10) -> Scenario:
 
 # ------------------------------------------------------ Fourier-Motzkin
 
-Row = tuple[tuple[Fraction, ...], Fraction]  # coeffs . x <= rhs
+Row = tuple[tuple[int, ...], int]  # coeffs . x <= rhs, coprime integers
 
 
-def _normalize(coeffs: tuple[Fraction, ...], rhs: Fraction) -> Row:
-    denom_lcm = 1
-    for value in (*coeffs, rhs):
-        denom_lcm = denom_lcm * value.denominator // gcd(denom_lcm, value.denominator)
-    ints = [int(value * denom_lcm) for value in (*coeffs, rhs)]
-    g = 0
-    for value in ints:
-        g = gcd(g, abs(value))
-    g = g or 1
-    return tuple(Fraction(v, g) for v in ints[:-1]), Fraction(ints[-1], g)
+def _coprime(values: list[int]) -> Row:
+    g = gcd(*values) or 1
+    return tuple(v // g for v in values[:-1]), values[-1] // g
 
 
-def _reduce(rows) -> dict[tuple[Fraction, ...], Fraction] | None:
+def _integral(coeffs, rhs) -> Row:
+    """The rational row coeffs . x <= rhs scaled to coprime integers."""
+    values = [Fraction(v) for v in (*coeffs, rhs)]
+    scale = lcm(*(v.denominator for v in values))
+    return _coprime([int(v * scale) for v in values])
+
+
+def _reduce(rows) -> dict[tuple[int, ...], int] | None:
     """Dedup (keep tightest rhs), drop rows implied by x >= 0 or by another
     row, spot contradictions.  Returns None when a row is unsatisfiable."""
-    out: dict[tuple[Fraction, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int] = {}
     for coeffs, rhs in rows:
         if all(c <= 0 for c in coeffs) and rhs >= 0:
             continue  # lhs <= 0 <= rhs for nonnegative x
@@ -106,9 +106,9 @@ def fm_feasible(nvars: int, rows) -> bool:
     initial = []
     for coeffs, rel, rhs in rows:
         if rel in ("<=", "="):
-            initial.append(_normalize(tuple(coeffs), rhs))
+            initial.append(_integral(coeffs, rhs))
         if rel in (">=", "="):
-            initial.append(_normalize(tuple(-c for c in coeffs), -rhs))
+            initial.append(_integral([-c for c in coeffs], -rhs))
     current = _reduce(initial)
     if current is None:
         return False
@@ -126,13 +126,12 @@ def fm_feasible(nvars: int, rows) -> bool:
         pos = [(c, b) for c, b in current.items() if c[var] > 0]
         neg = [(c, b) for c, b in current.items() if c[var] < 0]
         new = [(c, b) for c, b in current.items() if c[var] == 0]
-        zero = Fraction(0)
-        neg.append((tuple(-Fraction(int(i == var)) for i in range(nvars)), zero))
+        neg.append((tuple(-int(i == var) for i in range(nvars)), 0))
         for pc, pb in pos:
             for nc, nb in neg:
                 f_pos, f_neg = -nc[var], pc[var]
-                coeffs = tuple(f_pos * a + f_neg * b for a, b in zip(pc, nc))
-                new.append(_normalize(coeffs, f_pos * pb + f_neg * nb))
+                combined = [f_pos * a + f_neg * b for a, b in zip(pc, nc)]
+                new.append(_coprime([*combined, f_pos * pb + f_neg * nb]))
         current = _reduce(new)
         if current is None:
             return False

@@ -468,6 +468,27 @@ def test_stdin_input(fixtures_dir, monkeypatch):
     assert result.exit_code == 0
 
 
+REPRODUCE_TEXT = """\
+example           bound    quantum violated  result
+---------------------------------------------------
+specker               -          -        -  PASS
+no-state              -          -        -  PASS
+klyachko              2          -        -  PASS
+example3-bridge       -          -        -  PASS
+yu-oh                 1   1.333333      yes  PASS
+hadamard-d3           2   2.666667      yes  PASS
+hadamard-d4           2   4.000000      yes  PASS
+hadamard-d5           2   6.400000      yes  PASS
+hadamard-d6           2  10.666667      yes  PASS
+mub-d5                2   6.000000      yes  PASS
+maroney-d4            1   1.000000       no  PASS
+maroney-d5            1   1.333333      yes  PASS
+maroney-d6            1   1.666667      yes  PASS
+maroney-d7            1   2.000000      yes  PASS
+sic-d3                2   3.000000      yes  PASS
+all rows pass"""
+
+
 def test_reproduce_all_rows_pass():
     result = dispatch(["reproduce"])
     assert result.exit_code == 0
@@ -479,6 +500,14 @@ def test_reproduce_all_rows_pass():
         "mub-d5",
         "sic-d3",
     }
+    assert result.text == REPRODUCE_TEXT
+
+
+def test_reproduce_out_of_budget_exits_3(capsys):
+    assert cli.main(["reproduce", "--node-budget", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeded 1 nodes" in captured.err
 
 
 def test_reproduce_loose_tolerance_still_passes():
@@ -501,11 +530,12 @@ def test_reproduce_fault_injection_names_the_broken_row(monkeypatch):
             return quantum.PureStateSet(states.dimension, states.labels, vectors)
         return states
 
-    monkeypatch.setattr(cli.ensembles, "generate_states", corrupted)
+    monkeypatch.setattr(ensembles, "generate_states", corrupted)
     result = dispatch(["reproduce"])
     assert result.exit_code == 1
     failing = [row["example"] for row in result.payload if not row["pass"]]
     assert failing == ["mub-d5"]
+    assert result.text.splitlines()[-1] == "FAILED: mub-d5 (total 1 failing)"
 
 
 def _write_json(tmp_path, name, doc):
@@ -592,6 +622,15 @@ def test_tolerance_reaches_the_density_matrix_check(fixtures_dir, tmp_path):
 def test_tolerance_must_lie_between_zero_and_one():
     for value in ("0", "-1", "nan", "1"):
         assert dispatch(["check-anti", "--overlaps", "0.1,0.1,0.1", "--tolerance", value]).exit_code == 2
+
+
+def test_tolerance_that_joins_more_than_d_rays_is_usage_error(fixtures_dir):
+    # at 0.5 the Yu-Oh rays form a clique of 7 mutually "orthogonal" rays in d = 3
+    argv = ["quantum-scenario", fx(fixtures_dir, "yu_oh_all.json"), "--tolerance", "0.5"]
+    result = dispatch(argv)
+    assert result.exit_code == 2
+    assert result.payload["error"] == "ToleranceAmbiguityError"
+    assert "clique of 7" in result.payload["message"]
 
 
 def test_quantum_scenario_has_no_tol_option(capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from antictx import ensembles
 from antictx.ensembles import FamilySpec, generate_scenario, generate_states
 from antictx.errors import UnsupportedParameterError
 from antictx.quantum import frame_operator, gram, scenario_from_states
@@ -34,6 +35,17 @@ def test_hadamard_counts_and_partition():
         assert len(b0) == len(b1) == 2 ** (d - 1)
         assert set(b0.labels) | set(b1.labels) == set(full.labels)
         assert not set(b0.labels) & set(b1.labels)
+
+
+def test_hadamard_rejects_dimension_13_before_building(monkeypatch):
+    # 2^13 sign vectors would need a 1 GiB Gram matrix; d = 16 would need 64 GiB
+    def build(*args):
+        raise AssertionError("hadamard d=13 built its states")
+
+    monkeypatch.setattr(ensembles.PureStateSet, "from_pairs", build)
+    for subset in ("B0", "B1", "full"):
+        with pytest.raises(UnsupportedParameterError, match=r"\[2, 12\], got 13"):
+            generate_states(FamilySpec("hadamard", 13, subset))
 
 
 def test_hadamard_b0_first_component_positive():
