@@ -37,7 +37,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .quantum import TOLERANCE, GramData, PureStateSet, gram, states_from_doc
-from .scenario import Scenario, read_document
+from .scenario import Scenario, check_labels, read_document
 from .valuefns import DEFAULT_NODE_BUDGET
 
 __all__ = [
@@ -177,25 +177,22 @@ def verify_certificate(
     """Check an explicit certificate against its defining equations."""
     n = len(cert.targets)
     d = cert.basis.dimension
+    if n == 0:
+        raise ValueError("a certificate needs at least one target")
     if targets.dimension != d:
         raise DimensionMismatchError("targets and basis live in different dimensions")
     if n > d:
         raise DimensionMismatchError(f"{n} targets cannot be antidistinguished by {d} basis vectors")
     if len(cert.basis) != d:
         raise DimensionMismatchError(f"basis must have exactly {d} vectors")
-    target_vecs = [targets.vector(a) for a in cert.targets]
     b = cert.basis.vectors
-    identity = np.eye(d)
-    residual_orth = float(np.abs(b @ b.conj().T - identity).max())
-    residual_matched = max(
-        abs(np.vdot(b[j], target_vecs[j])) for j in range(n)
-    )
-    residual_extra = 0.0
-    for k in range(n, d):
-        for j in range(n):
-            residual_extra = max(residual_extra, abs(np.vdot(b[k], target_vecs[j])))
+    residual_orth = float(np.abs(b @ b.conj().T - np.eye(d)).max())
+    # |<basis_k|target_j>| for every k and j
+    inner = np.abs(b.conj() @ targets.subset(cert.targets).vectors.T)
+    residual_matched = float(np.diagonal(inner).max())
+    residual_extra = float(inner[n:].max(initial=0.0))
     valid = residual_orth <= tol and residual_matched <= tol and residual_extra <= tol
-    return CertificateReport(valid, residual_orth, float(residual_matched), float(residual_extra))
+    return CertificateReport(valid, residual_orth, residual_matched, residual_extra)
 
 
 @dataclass(frozen=True)
@@ -222,9 +219,7 @@ def scenario_antidistinguishable(
     targets = tuple(sorted(set(members)))
     if not targets:
         raise UnknownLabelError("the outcome set to test must be nonempty")
-    unknown = sorted(set(targets) - set(s.outcomes))
-    if unknown:
-        raise UnknownLabelError(f"unknown outcome labels: {unknown}")
+    check_labels(s.outcomes, targets)
 
     all_sets = [tuple(sorted(t)) for t in s.all_sets()]
     all_sets.sort()
@@ -294,6 +289,8 @@ def load_certificate(
     target_labels = doc.pop("targets")
     if not isinstance(target_labels, list) or not all(isinstance(x, str) for x in target_labels):
         raise ScenarioParseError("'targets' must be a list of labels")
+    if not target_labels:
+        raise ScenarioParseError("'targets' must name at least one state")
     states = states_from_doc(doc, tol)
     target_set = set(target_labels)
     unknown = target_set - set(states.labels)

@@ -24,7 +24,6 @@ extended by an outcome that a side constraint already pins to 1.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
@@ -41,9 +40,9 @@ from .errors import (
     NotABasisError,
     ScenarioParseError,
 )
-from .quantum import TOLERANCE, DensityOperator, PureStateSet, gram, quantum_value
+from .quantum import TOLERANCE, DensityOperator, PureStateSet, _first_pair, gram, quantum_value
 from .ratlp import format_rational, parse_rational
-from .scenario import read_document
+from .scenario import read_document, write_document
 
 __all__ = [
     "PairwiseAntiset",
@@ -91,14 +90,14 @@ def _check_basis(states: PureStateSet, principal: Sequence[str], tol: float) -> 
         raise NotABasisError(
             f"principal context has {len(principal)} members, expected dimension {states.dimension}"
         )
-    g = gram(states.subset(principal))
-    for i in range(len(principal)):
-        for j in range(i + 1, len(principal)):
-            if g.overlaps[i, j] > tol:
-                raise NotABasisError(
-                    f"principal members {principal[i]!r} and {principal[j]!r} are not orthogonal "
-                    f"(|<.|.>|^2 = {g.overlaps[i, j]!r})"
-                )
+    o = gram(states.subset(principal)).overlaps
+    pair = _first_pair(o > tol)
+    if pair:
+        i, j = pair
+        raise NotABasisError(
+            f"principal members {principal[i]!r} and {principal[j]!r} are not orthogonal "
+            f"(|<.|.>|^2 = {o[i, j]!r})"
+        )
 
 
 def _checked_triples(
@@ -219,9 +218,9 @@ def find_strong_antisets(
     labels = pool + principal
     o = gram(states.subset(labels)).overlaps
     n = len(pool)
-    same = np.argwhere(np.triu(o[:n, :n] >= 1.0 - tol, 1))
-    if len(same):
-        i, j = same[0]
+    same = _first_pair(o[:n, :n] >= 1.0 - tol)
+    if same:
+        i, j = same
         raise DuplicateRayError(f"pool states {pool[i]!r} and {pool[j]!r} are the same ray")
     cols = sorted(range(n, len(labels)), key=labels.__getitem__)
     pair_logs = _compatible_pair_logs(labels, o, n, cols, tol)
@@ -369,7 +368,7 @@ def evaluate_inequality(
     holding within tolerance.
     """
     missing = sorted(
-        {label for label, _ in ineq.coefficients} - set(states.labels)
+        {label for label, _ in ineq.coefficients + ineq.side_constraints} - set(states.labels)
     )
     if missing:
         raise MissingLabelError(f"inequality labels missing from the state set: {missing}")
@@ -399,7 +398,7 @@ def inequality_to_json(ineq: NoncontextualityInequality) -> bytes:
         ],
         "provenance": ineq.provenance,
     }
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return write_document(doc)
 
 
 def load_inequality(source: bytes | str | IO) -> NoncontextualityInequality:

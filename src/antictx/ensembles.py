@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedParameterError
-from .quantum import PureStateSet, gram
+from .quantum import PureStateSet, _first_pair, frame_operator, gram
 from .scenario import Scenario, make_scenario
 
 __all__ = ["FamilySpec", "generate_states", "generate_scenario", "STATE_FAMILIES", "SCENARIO_NAMES"]
@@ -69,16 +69,17 @@ def _is_prime(n: int) -> bool:
 
 
 def _check_overlaps(states: PureStateSet, expected, what: str, tol: float = 1e-9) -> None:
-    g = gram(states)
-    n = len(states)
-    for i in range(n):
-        for j in range(i + 1, n):
-            want = expected(states.labels[i], states.labels[j])
-            if abs(g.overlaps[i, j] - want) > tol:
-                raise RuntimeError(
-                    f"{what} self-check failed: |<{states.labels[i]}|{states.labels[j]}>|^2 "
-                    f"= {g.overlaps[i, j]!r}, expected {want!r}"
-                )
+    """Compare every squared overlap with `expected` (a matrix, or one value
+    for every pair) and name the first pair that is off by more than `tol`."""
+    o = gram(states).overlaps
+    want = np.broadcast_to(expected, o.shape)
+    pair = _first_pair(np.abs(o - want) > tol)
+    if pair:
+        i, j = pair
+        raise RuntimeError(
+            f"{what} self-check failed: |<{states.labels[i]}|{states.labels[j]}>|^2 "
+            f"= {o[i, j]!r}, expected {float(want[i, j])!r}"
+        )
 
 
 def _yu_oh_rays() -> PureStateSet:
@@ -90,7 +91,7 @@ def _yu_oh_rays() -> PureStateSet:
         ("a4", [s, s, -s]),
     ]
     states = PureStateSet.from_pairs(3, vectors)
-    _check_overlaps(states, lambda a, b: 1 / 9, "yu_oh_rays")
+    _check_overlaps(states, 1 / 9, "yu_oh_rays")
     return states
 
 
@@ -111,25 +112,14 @@ def _caves_example() -> PureStateSet:
     ]
     states = PureStateSet.from_pairs(3, vectors)
     # the defining property is the orthogonality pattern of the basic
-    # antidistinguishability scenario
-    g = gram(states)
-    orthogonal_pairs = {
-        frozenset(p)
-        for p in [
-            ("a1", "a1_perp"),
-            ("a2", "a2_perp"),
-            ("a3", "a3_perp"),
-            ("a1_perp", "a2_perp"),
-            ("a1_perp", "a3_perp"),
-            ("a2_perp", "a3_perp"),
-        ]
-    }
-    for i in range(6):
-        for j in range(i + 1, 6):
-            pair = frozenset((states.labels[i], states.labels[j]))
-            is_zero = g.overlaps[i, j] <= 1e-12
-            if is_zero != (pair in orthogonal_pairs):
-                raise RuntimeError(f"caves_example self-check failed on {sorted(pair)}")
+    # antidistinguishability scenario: a_k with a_k_perp, and the a_perp
+    # among themselves
+    pattern = np.zeros((6, 6), dtype=bool)
+    pattern[[0, 1, 2, 3, 3, 4], [3, 4, 5, 4, 5, 5]] = True
+    pair = _first_pair((gram(states).overlaps <= 1e-12) != pattern)
+    if pair:
+        named = sorted(states.labels[k] for k in pair)
+        raise RuntimeError(f"caves_example self-check failed on {named}")
     return states
 
 
@@ -138,23 +128,14 @@ def _hadamard(d: int, subset: str) -> PureStateSet:
         raise UnsupportedParameterError(f"hadamard needs a dimension in [2, 12], got {d}")
     if subset not in ("B0", "B1", "full"):
         raise UnsupportedParameterError(f"unknown hadamard subset {subset!r}")
-    scale = 1 / math.sqrt(d)
-    pairs = []
-    for bits in range(2**d):
-        label = format(bits, f"0{d}b")
-        if subset == "B0" and label[0] != "0":
-            continue
-        if subset == "B1" and label[0] != "1":
-            continue
-        vec = [scale * (1.0 if ch == "0" else -1.0) for ch in label]
-        pairs.append((label, vec))
-    states = PureStateSet.from_pairs(d, pairs)
-
-    def expected(a: str, b: str) -> float:
-        agree = sum(x == y for x, y in zip(a, b))
-        return ((2 * agree - d) / d) ** 2
-
-    _check_overlaps(states, expected, "hadamard")
+    half = 2 ** (d - 1)
+    start, stop = {"B0": (0, half), "B1": (half, 2 * half), "full": (0, 2 * half)}[subset]
+    labels = [format(bits, f"0{d}b") for bits in range(start, stop)]
+    # the label bits as signs +-1, so signs @ signs.T is exact
+    signs = 1.0 - 2.0 * ((np.arange(start, stop)[:, None] >> np.arange(d - 1, -1, -1)) & 1)
+    states = PureStateSet.from_pairs(d, zip(labels, signs * (1 / math.sqrt(d))))
+    # |<a|b>|^2 = ((agreements - disagreements) / d)^2
+    _check_overlaps(states, (signs @ signs.T / d) ** 2, "hadamard")
     return states
 
 
@@ -181,12 +162,9 @@ def _mub(d: int) -> PureStateSet:
                 vec = [scale * omega ** ((b * j * j + k * j) % d) for j in range(d)]
                 pairs.append((f"a{b + 1}_{k + 1}", vec))
     states = PureStateSet.from_pairs(d, pairs)
-
-    def expected(a: str, b: str) -> float:
-        # labels are a<basis>_<k>; same basis means orthogonal
-        return 0.0 if a.split("_")[0] == b.split("_")[0] else 1 / d
-
-    _check_overlaps(states, expected, "mub")
+    # d states per basis, in basis order; same basis means orthogonal
+    basis = np.arange(len(states)) // d
+    _check_overlaps(states, np.where(basis[:, None] == basis, 0.0, 1 / d), "mub")
     return states
 
 
@@ -203,10 +181,8 @@ def _maroney(d: int) -> PureStateSet:
     c[0] = 1.0
     pairs.append(("c", c))
     states = PureStateSet.from_pairs(d, pairs)
-
-    def expected(a: str, b: str) -> float:
-        return 1 / 3 if "c" in (a, b) else 1 / 9
-
+    expected = np.full((d, d), 1 / 9)
+    expected[-1, :] = expected[:, -1] = 1 / 3  # c is last
     _check_overlaps(states, expected, "maroney", tol=1e-12)
     return states
 
@@ -235,9 +211,9 @@ def _sic(d: int) -> PureStateSet:
     else:
         raise UnsupportedParameterError(f"sic vectors are available for d in {{2, 3}}, got {d}")
     states = PureStateSet.from_pairs(d, pairs)
-    _check_overlaps(states, lambda a, b: 1 / (d + 1), "sic")
+    _check_overlaps(states, 1 / (d + 1), "sic")
     # resolution of the identity: sum of projectors equals d * I
-    f = states.vectors.T @ states.vectors.conj()
+    f, _ = frame_operator(states)
     if np.abs(f - d * np.eye(d)).max() > 1e-9:
         raise RuntimeError("sic self-check failed: projectors do not resolve the identity")
     return states

@@ -71,7 +71,7 @@ class ConstraintMismatchError(AntictxError):
 
 
 class MissingLabelError(AntictxError):
-    """An inequality coefficient refers to a label absent from the state set."""
+    """An inequality coefficient or side constraint names a label absent from the state set."""
 
 
 class UnsupportedParameterError(AntictxError):

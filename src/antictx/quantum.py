@@ -9,17 +9,22 @@ boundary between the two is the orthogonality decision, which is guarded
 by a tolerance band so that a near-miss overlap raises instead of silently
 misclassifying.
 
+Every pairwise question about a state set (same ray, guard band,
+orthogonality, an expected overlap) is one boolean array over the Gram
+matrix; `_first_pair` names its first offending pair in row-major order,
+which is the pair a loop over i < j would have reported.
+
 Every check that compares floats takes its tolerance as an argument, with
 the immutable default `TOLERANCE` = 1e-9; every construction in the source
 material has overlaps that are exactly 0 or at least 1/9, so the default
 separates cleanly.  Vector norms are checked where vectors enter
 (`PureStateSet.from_pairs`, `load_states`), so subsets and unions of a
-checked set are not checked again.
+checked set are not checked again; the norm and density-matrix checks are
+written so that NaN fails them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Iterable, Sequence
@@ -34,7 +39,7 @@ from .errors import (
     ToleranceAmbiguityError,
     UnknownLabelError,
 )
-from .scenario import Scenario, make_scenario, read_document
+from .scenario import Scenario, make_scenario, read_document, write_document
 
 __all__ = [
     "PureStateSet",
@@ -85,7 +90,7 @@ class PureStateSet:
         vectors = np.array(rows, dtype=complex) if rows else np.zeros((0, dimension), dtype=complex)
         states = PureStateSet(dimension, tuple(labels), vectors)
         norms = np.linalg.norm(vectors, axis=1)
-        bad = np.abs(norms - 1.0) > tol
+        bad = ~(np.abs(norms - 1.0) <= tol)
         if bad.any():
             label = labels[int(np.argmax(bad))]
             raise ValueError(f"state {label!r} is not unit-norm (|v| = {norms[bad][0]!r})")
@@ -129,11 +134,11 @@ class DensityOperator:
         m, tol = self.matrix, self.tol
         if m.shape != (self.dimension, self.dimension):
             raise DimensionMismatchError(f"density matrix must be {self.dimension}x{self.dimension}")
-        if np.abs(m - m.conj().T).max() > tol:
+        if not np.abs(m - m.conj().T).max() <= tol:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > tol or abs(np.trace(m).imag) > tol:
+        if not (abs(np.trace(m).real - 1.0) <= tol and abs(np.trace(m).imag) <= tol):
             raise ValueError(f"density matrix has trace {np.trace(m)}, expected 1")
-        if np.linalg.eigvalsh(m).min() < -tol:
+        if not np.linalg.eigvalsh(m).min() >= -tol:
             raise ValueError("density matrix has a negative eigenvalue")
 
     @staticmethod
@@ -169,6 +174,12 @@ class GramData:
     def overlap(self, a: str, b: str) -> float:
         index, rows = self._lookup
         return rows[index[a]][index[b]]
+
+
+def _first_pair(mask: np.ndarray) -> tuple[int, int] | None:
+    """The first (i, j) with i < j, in row-major order, where `mask` holds."""
+    hits = np.flatnonzero(np.triu(mask, 1))
+    return divmod(int(hits[0]), mask.shape[1]) if len(hits) else None
 
 
 def gram(states: PureStateSet) -> GramData:
@@ -227,23 +238,20 @@ def scenario_from_states(states: PureStateSet, tol: float = TOLERANCE) -> Scenar
     """
     if states.dimension < 2:
         raise ValueError("scenario generation needs dimension >= 2")
-    g = gram(states)
+    o = gram(states).overlaps
     n = len(states)
-    for i in range(n):
-        for j in range(i + 1, n):
-            o = g.overlaps[i, j]
-            if o >= 1.0 - tol:
-                raise DuplicateRayError(
-                    f"states {states.labels[i]!r} and {states.labels[j]!r} are the same ray"
-                )
-            if tol < o < 10.0 * tol:
-                raise ToleranceAmbiguityError(
-                    f"overlap |<{states.labels[i]}|{states.labels[j]}>|^2 = {o!r} "
-                    f"falls in the guard band ({tol!r}, {10.0 * tol!r})"
-                )
-    adjacency = [
-        {j for j in range(n) if j != i and g.overlaps[i, j] <= tol} for i in range(n)
-    ]
+    pair = _first_pair((o >= 1.0 - tol) | ((tol < o) & (o < 10.0 * tol)))
+    if pair:
+        i, j = pair
+        a, b = states.labels[i], states.labels[j]
+        if o[i, j] >= 1.0 - tol:
+            raise DuplicateRayError(f"states {a!r} and {b!r} are the same ray")
+        raise ToleranceAmbiguityError(
+            f"overlap |<{a}|{b}>|^2 = {o[i, j]!r} "
+            f"falls in the guard band ({tol!r}, {10.0 * tol!r})"
+        )
+    orthogonal = (o <= tol) & ~np.eye(n, dtype=bool)
+    adjacency = [set(np.flatnonzero(row).tolist()) for row in orthogonal]
     contexts = []
     partial_contexts = []
     for clique in maximal_cliques(n, adjacency):
@@ -323,4 +331,4 @@ def save_states(states: PureStateSet) -> bytes:
             for label, vec in zip(states.labels, states.vectors)
         ],
     }
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return write_document(doc)

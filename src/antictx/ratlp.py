@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatchError, UnknownLabelError
-from .scenario import Scenario, check_members_known
+from .errors import DimensionMismatchError
+from .scenario import Scenario, check_labels, check_members_known
 
 __all__ = [
     "Rational",
@@ -392,10 +392,7 @@ def build_state_polytope(s: Scenario) -> LinearProgram:
 
 
 def _coeff_vector(labels: Sequence[str], coeffs: Mapping[str, object]) -> tuple[Fraction, ...]:
-    known = set(labels)
-    unknown = sorted(set(coeffs) - known)
-    if unknown:
-        raise UnknownLabelError(f"unknown labels in coefficients: {unknown}")
+    check_labels(labels, coeffs)
     return tuple(parse_rational(coeffs.get(a, 0)) for a in labels)
 
 

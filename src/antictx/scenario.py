@@ -26,11 +26,13 @@ __all__ = [
     "Finding",
     "make_scenario",
     "check_members_known",
+    "check_labels",
     "validate_scenario",
     "read_document",
     "parse_scenario",
     "load_scenario",
     "save_scenario",
+    "write_document",
 ]
 
 
@@ -102,6 +104,13 @@ def check_members_known(s: Scenario) -> None:
     stray = sorted({a for m in s.all_sets() for a in m} - s.outcome_set)
     if stray:
         raise UnknownLabelError(f"scenario sets mention unknown outcomes: {stray}")
+
+
+def check_labels(known: Iterable[str], labels: Iterable[str]) -> None:
+    """Raise UnknownLabelError naming every label that is not in `known`."""
+    unknown = sorted(set(labels) - set(known))
+    if unknown:
+        raise UnknownLabelError(f"unknown outcome labels: {unknown}")
 
 
 def _label_ok(label: str) -> bool:
@@ -190,6 +199,12 @@ def read_document(source: bytes | str | IO) -> dict:
     return doc
 
 
+def write_document(doc: dict) -> bytes:
+    """A document as every writer of the package serializes it: indented
+    UTF-8 JSON, non-ASCII labels kept as they are, and a final newline."""
+    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
 def parse_scenario(source: bytes | str | IO) -> Scenario:
     """Parse a scenario document without validating its structure.
 
@@ -238,4 +253,4 @@ def save_scenario(s: Scenario) -> bytes:
         "contexts": sorted(sorted(m) for m in set(s.contexts)),
         "partial_contexts": sorted(sorted(n) for n in set(s.partial_contexts)),
     }
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return write_document(doc)

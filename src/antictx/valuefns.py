@@ -47,7 +47,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .ratlp import parse_rational
-from .scenario import Scenario, check_members_known
+from .scenario import Scenario, check_labels, check_members_known
 
 __all__ = [
     "ValueFunction",
@@ -290,18 +290,12 @@ def count_value_functions(s: Scenario, *, node_budget: int | None = None) -> int
     return count
 
 
-def _check_labels(s: Scenario, labels: Iterable[str]) -> None:
-    unknown = sorted(set(labels) - set(s.outcomes))
-    if unknown:
-        raise UnknownLabelError(f"unknown outcome labels: {unknown}")
-
-
 def definite_intersection(
     s: Scenario, definite: Iterable[str], *, node_budget: int | None = None
 ) -> list[ValueFunction]:
     """Value functions assigning 1 to every label in `definite`."""
     wanted = set(definite)
-    _check_labels(s, wanted)
+    check_labels(s.outcomes, wanted)
     return _value_functions(s, node_budget, forced=wanted)
 
 
@@ -314,7 +308,7 @@ def classical_bound(
     lexicographically first maximizer.  Raises EmptyPolytopeError when the
     scenario has no value functions at all.
     """
-    _check_labels(s, coeffs.keys())
+    check_labels(s.outcomes, coeffs.keys())
     weights = {a: parse_rational(c) for a, c in coeffs.items()}
     # integer gains keep the search's sums exact and cheap
     scale = lcm(*(w.denominator for w in weights.values()))
@@ -324,7 +318,7 @@ def classical_bound(
 
 
 def _check_state(s: Scenario, state: Mapping[str, Fraction]) -> dict[str, Fraction]:
-    _check_labels(s, state.keys())
+    check_labels(s.outcomes, state.keys())
     full = {a: Fraction(0) for a in s.outcomes}
     for a, value in state.items():
         full[a] = parse_rational(value)
@@ -392,7 +386,7 @@ def brute_force_antiset_bound(
     at most 1, but on bare scenarios it can be larger.
     """
     wanted = set(members)
-    _check_labels(s, wanted)
+    check_labels(s.outcomes, wanted)
     _, best, _ = _best(s, dict.fromkeys(wanted, 1), node_budget)
     return Fraction(best)
 

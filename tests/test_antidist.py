@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import numpy as np
@@ -15,7 +16,12 @@ from antictx.antidist import (
     verify_certificate,
 )
 from antictx.ensembles import FamilySpec, generate_scenario, generate_states
-from antictx.errors import OverlapRangeError, ResourceLimitError, UnknownLabelError
+from antictx.errors import (
+    OverlapRangeError,
+    ResourceLimitError,
+    ScenarioParseError,
+    UnknownLabelError,
+)
 from antictx.quantum import PureStateSet, gram, scenario_from_states
 from antictx.scenario import make_scenario, validate_scenario
 
@@ -210,6 +216,40 @@ def test_identity_pairing_fails_with_residual_one():
     report = verify_certificate(targets, AntidistCertificate(("t",), basis))
     assert not report.valid
     assert abs(report.residual_matched - 1.0) < 1e-12
+
+
+def test_certificate_residuals_equal_the_pairwise_inner_products():
+    rng = np.random.default_rng(2024)
+    ulp = np.spacing(1.0)
+
+    def unit_rows(k, d):
+        m = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
+        return m / np.linalg.norm(m, axis=1, keepdims=True)
+
+    for _ in range(60):
+        d = int(rng.integers(2, 7))
+        n = int(rng.integers(1, d + 1))
+        b = np.linalg.qr(unit_rows(d, d))[0].T  # orthonormal rows
+        t = unit_rows(n, d)
+        targets = PureStateSet.from_pairs(d, [(f"t{j}", v) for j, v in enumerate(t)])
+        basis = PureStateSet.from_pairs(d, [(f"b{k}", v) for k, v in enumerate(b)])
+        report = verify_certificate(targets, AntidistCertificate(targets.labels, basis))
+        matched = max(abs(np.vdot(b[j], t[j])) for j in range(n))
+        extra = max((abs(np.vdot(b[k], t[j])) for k in range(n, d) for j in range(n)), default=0.0)
+        orth = np.abs(b @ b.conj().T - np.eye(d)).max()
+        assert abs(report.residual_matched - matched) <= 4 * ulp
+        assert abs(report.residual_extra - extra) <= 4 * ulp
+        assert report.residual_orthonormality == orth
+
+
+def test_certificate_needs_at_least_one_target(fixtures_dir):
+    doc = json.loads((fixtures_dir / "caves_certificate.json").read_text())
+    doc["targets"] = []
+    with pytest.raises(ScenarioParseError, match="at least one state"):
+        load_certificate(json.dumps(doc))
+    basis = PureStateSet.from_pairs(2, [("b0", [1, 0]), ("b1", [0, 1])])
+    with pytest.raises(ValueError, match="at least one target"):
+        verify_certificate(basis.subset([]), AntidistCertificate((), basis))
 
 
 def test_certificate_bridges_to_combinatorial_definition(fixtures_dir):

@@ -91,6 +91,27 @@ def test_principal_must_be_a_basis():
         verify_strong_antiset(combined, ["a2", "a3"], ["c1", "c2", "a1"])
 
 
+def test_basis_check_names_the_first_non_orthogonal_pair_in_row_order():
+    # (p1, p4) and (p2, p3) are the only non-orthogonal principal pairs;
+    # row-major order reaches (p1, p4) first, column order (p2, p3)
+    r = 1 / math.sqrt(2)
+    states = PureStateSet.from_pairs(
+        4,
+        [
+            ("p1", [1, 0, 0, 0]),
+            ("p2", [0, 1, 0, 0]),
+            ("p3", [0, r, r, 0]),
+            ("p4", [r, 0, 0, r]),
+            ("w1", [0.5, 0.5, 0.5, 0.5]),
+            ("w2", [0.5, -0.5, 0.5, -0.5]),
+        ],
+    )
+    principal = ["p1", "p2", "p3", "p4"]
+    for check in (verify_strong_antiset, find_strong_antisets):
+        with pytest.raises(NotABasisError, match="'p1' and 'p4' are not orthogonal"):
+            check(states, ["w1", "w2"], principal)
+
+
 def test_members_disjoint_from_principal():
     rays, basis, combined = yu_oh_combined()
     with pytest.raises(ValueError):
@@ -453,6 +474,16 @@ def test_evaluate_missing_label():
         b' "side_constraints": [], "provenance": ""}'
     )
     with pytest.raises(MissingLabelError):
+        evaluate_inequality(ineq, states, DensityOperator.maximally_mixed(3))
+
+
+def test_evaluate_missing_side_constraint_label():
+    states = generate_states(FamilySpec("yu_oh_rays"))
+    ineq = load_inequality(
+        b'{"coefficients": {"a1": "1"}, "bound": "1", "kind": "state-dependent",'
+        b' "side_constraints": [{"label": "zz", "value": "1"}], "provenance": ""}'
+    )
+    with pytest.raises(MissingLabelError, match="'zz'"):
         evaluate_inequality(ineq, states, DensityOperator.maximally_mixed(3))
 
 

@@ -638,3 +638,32 @@ def test_quantum_scenario_has_no_tol_option(capsys):
     usage = capsys.readouterr().out
     assert "--tolerance" in usage
     assert "--tol " not in usage and "--tol\n" not in usage
+
+
+def test_nan_vector_component_is_usage_error(tmp_path):
+    doc = _unit_pairs(3)
+    doc["states"][2]["components"][0] = [float("nan"), 0]
+    vectors = _write_json(tmp_path, "v.json", doc)
+    result = dispatch(["quantum-scenario", vectors])
+    assert result.exit_code == 2
+    assert "'e3' is not unit-norm" in result.payload["message"]
+    assert dispatch(["check-anti", "--vectors", vectors, "--triple", "e1,e2,e3"]).exit_code == 2
+
+
+def test_nan_density_matrix_is_usage_error(fixtures_dir, tmp_path):
+    vectors = fx(fixtures_dir, "yu_oh_all.json")
+    nan = float("nan")
+    on_diagonal = [[[nan, 0], [0, 0], [0, 0]], [[0, 0], [0.5, 0], [0, 0]], [[0, 0], [0, 0], [0.5, 0]]]
+    off_diagonal = [[[1 / 3, 0], [nan, 0], [0, 0]], [[nan, 0], [1 / 3, 0], [0, 0]], [[0, 0], [0, 0], [1 / 3, 0]]]
+    for matrix in (on_diagonal, off_diagonal):
+        result = dispatch(_evaluate_argv(fixtures_dir, tmp_path, vectors, {"matrix": matrix}))
+        assert result.exit_code == 2
+        assert result.payload["error"] == "ValueError"
+
+
+def test_certificate_without_targets_is_usage_error(fixtures_dir, tmp_path):
+    doc = json.loads((fixtures_dir / "caves_certificate.json").read_text())
+    doc["targets"] = []
+    result = dispatch(["check-anti", "--certificate", _write_json(tmp_path, "cert.json", doc)])
+    assert result.exit_code == 2
+    assert result.payload["message"] == "'targets' must name at least one state"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from antictx import ensembles
 from antictx.ensembles import FamilySpec, generate_scenario, generate_states
 from antictx.errors import UnsupportedParameterError
-from antictx.quantum import frame_operator, gram, scenario_from_states
+from antictx.quantum import GramData, PureStateSet, frame_operator, gram, scenario_from_states
 from antictx.scenario import validate_scenario
 
 
@@ -131,6 +132,71 @@ def test_sic_d2_overlaps():
 def test_sic_rejects_higher_dimensions():
     with pytest.raises(UnsupportedParameterError):
         generate_states(FamilySpec("sic", 4))
+
+
+def _shift_gram(monkeypatch, shifts):
+    """Make `ensembles.gram` add shifts[i, j] to the overlaps (i, j) and (j, i)."""
+
+    def shifted(states):
+        o = gram(states).overlaps.copy()
+        for (i, j), delta in shifts.items():
+            o[i, j] += delta
+            o[j, i] = o[i, j]
+        return GramData(states.labels, o)
+
+    monkeypatch.setattr(ensembles, "gram", shifted)
+
+
+@pytest.mark.parametrize(
+    "spec, delta, named",
+    [
+        (FamilySpec("yu_oh_rays"), 1e-6, ("a1", "a4")),
+        (FamilySpec("hadamard", 3, "B0"), 1e-6, ("000", "011")),
+        (FamilySpec("hadamard", 4, "full"), -1e-6, ("0000", "1111")),
+        (FamilySpec("mub", 3), 1e-6, ("a1_1", "a4_3")),
+        (FamilySpec("maroney", 4), 1e-10, ("a1", "c")),
+        (FamilySpec("sic", 2), 1e-6, ("a1", "a4")),
+        (FamilySpec("sic", 3), 1e-6, ("a1", "a9")),
+    ],
+)
+def test_family_self_check_names_the_first_perturbed_overlap(monkeypatch, spec, delta, named):
+    # two overlaps are off: (0, last) comes first in row-major order, while
+    # (1, 2) would come first in column order
+    n = len(generate_states(spec))
+    _shift_gram(monkeypatch, {(1, 2): delta, (0, n - 1): delta})
+    with pytest.raises(RuntimeError, match=re.escape(f"|<{named[0]}|{named[1]}>|^2")):
+        generate_states(spec)
+
+
+def test_caves_self_check_names_the_first_broken_orthogonality(monkeypatch):
+    # (a2, a3) turns orthogonal and (a1, a1_perp) stops being orthogonal
+    _shift_gram(monkeypatch, {(1, 2): -1 / 9, (0, 3): 1e-6})
+    with pytest.raises(RuntimeError, match=re.escape("failed on ['a1', 'a1_perp']")):
+        generate_states(FamilySpec("caves_example"))
+
+
+def test_sic_frame_self_check_catches_a_tilted_vector(monkeypatch):
+    # the overlaps read as exact, but one vector is tilted by ~1e-6, so the
+    # projectors no longer sum to d * I
+    original = PureStateSet.from_pairs
+
+    def tilted(dimension, pairs, tol=1e-9):
+        states = original(dimension, pairs, tol)
+        v = states.vectors.copy()
+        v[0] += 1e-6 * v[1]
+        v[0] /= np.linalg.norm(v[0])
+        return PureStateSet(dimension, states.labels, v)
+
+    def exact(states):
+        o = np.full((len(states), len(states)), 1 / (states.dimension + 1))
+        np.fill_diagonal(o, 1.0)
+        return GramData(states.labels, o)
+
+    monkeypatch.setattr(PureStateSet, "from_pairs", staticmethod(tilted))
+    monkeypatch.setattr(ensembles, "gram", exact)
+    for d in (2, 3):
+        with pytest.raises(RuntimeError, match="resolve the identity"):
+            generate_states(FamilySpec("sic", d))
 
 
 def test_caves_example_feeds_scenario_generation():

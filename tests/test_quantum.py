@@ -194,6 +194,29 @@ def test_tolerance_ambiguity_guard_band():
     assert s.partial_contexts == (frozenset({"a", "b"}),)
 
 
+def _tilted(near, far, eps=5e-9):
+    """A unit vector in C^3 with squared overlap `eps` (inside the default
+    guard band) with basis vector `near` and the rest on `far`."""
+    v = np.zeros(3)
+    v[near], v[far] = math.sqrt(eps), math.sqrt(1 - eps)
+    return v
+
+
+def test_guard_band_pair_named_first_when_it_comes_first_in_row_order():
+    # (s0, s3) is in the guard band and (s1, s2) is one ray; row-major order
+    # reaches (0, 3) before (1, 2), column order would reach (1, 2) first
+    states = kets(3, [1, 0, 0], [0, 1, 0], [0, -1, 0], _tilted(0, 2))
+    with pytest.raises(ToleranceAmbiguityError, match=r"\|<s0\|s3>\|\^2"):
+        scenario_from_states(states)
+
+
+def test_duplicate_pair_named_first_when_it_comes_first_in_row_order():
+    # (s0, s3) is one ray and (s1, s2) is in the guard band
+    states = kets(3, [1, 0, 0], [0, 1, 0], _tilted(1, 2), [1j, 0, 0])
+    with pytest.raises(DuplicateRayError, match="'s0' and 's3' are the same ray"):
+        scenario_from_states(states)
+
+
 def test_density_operator_validation():
     with pytest.raises(ValueError):
         DensityOperator(2, np.array([[1.0, 0.5], [0.0, 0.0]]))
