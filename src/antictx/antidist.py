@@ -71,7 +71,7 @@ class TripleOverlaps:
             return  # nothing to check or clamp, and the common case
         tol = self.tol
         for name, x in (("x1", self.x1), ("x2", self.x2), ("x3", self.x3)):
-            if x < -tol or x > 1.0 + tol:
+            if not -tol <= x <= 1.0 + tol:  # NaN fails too
                 raise OverlapRangeError(f"{name} = {x!r} lies outside [0, 1]")
         object.__setattr__(self, "x1", min(1.0, max(0.0, self.x1)))
         object.__setattr__(self, "x2", min(1.0, max(0.0, self.x2)))
@@ -132,13 +132,13 @@ def triple_criterion(x1, x2, x3, tol: float = TOLERANCE):
     equal entry by entry to the scalar verdicts.
     """
     x = np.array(np.broadcast_arrays(x1, x2, x3), dtype=float)
-    bad = (x < -tol) | (x > 1.0 + tol)
+    bad = ~((x >= -tol) & (x <= 1.0 + tol))  # NaN is bad too
     if bad.any():
         flat = bad.reshape(3, -1)
         t = int(np.argmax(flat.any(axis=0)))
         k = int(np.argmax(flat[:, t]))
         raise OverlapRangeError(f"x{k + 1} = {float(x.reshape(3, -1)[k, t])!r} lies outside [0, 1]")
-    # fmax/fmin clamp like the scalar min/max, which also send nan to 0
+    # fmax/fmin clamp like the scalar min/max
     x = np.fmin(np.fmax(x, 0.0), 1.0)
     return _criterion(x[0], x[1], x[2], tol)
 

@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import antidist, antiset, ensembles, quantum, ratlp, reproduce, scenario, valuefns
 from .ensembles import FamilySpec
@@ -33,7 +34,7 @@ EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_RESOURCE = 0, 1, 2, 3
 class CommandResult:
     exit_code: int
     payload: object = None
-    text: str = ""
+    text: str | None = None  # None: the payload as key-value text, rendered on demand
     fmt: str = "text"
 
 
@@ -63,10 +64,6 @@ def _kv_text(payload, indent: int = 0) -> str:
     return f"{pad}{payload}"
 
 
-def _result(exit_code: int, payload, text: str | None = None) -> CommandResult:
-    return CommandResult(exit_code, payload, _kv_text(payload) if text is None else text)
-
-
 def _parse_coeffs(arg: str, labels) -> dict[str, Fraction]:
     if arg == "ones":
         return {a: Fraction(1) for a in labels}
@@ -87,7 +84,7 @@ def _parse_rho(spec: str | None, states: quantum.PureStateSet, tol: float) -> De
 def _document(blob: bytes) -> CommandResult:
     """Print one serialized document; as text it is the document itself."""
     text = blob.decode("utf-8").rstrip("\n")
-    return _result(EXIT_OK, json.loads(text), text)
+    return CommandResult(EXIT_OK, json.loads(text), text)
 
 
 # ---------------------------------------------------------------- handlers
@@ -101,17 +98,18 @@ def _cmd_validate(args, ctx) -> CommandResult:
         "violations": [{"rule": f.rule, "subjects": list(f.subjects)} for f in report.violations],
         "warnings": [{"rule": f.rule, "subjects": list(f.subjects)} for f in report.warnings],
     }
-    return _result(EXIT_OK if report.valid else EXIT_NEGATIVE, payload)
+    return CommandResult(EXIT_OK if report.valid else EXIT_NEGATIVE, payload)
 
 
 def _cmd_value_functions(args, ctx) -> CommandResult:
     s = scenario.load_scenario(_read(args.scenario))
     budget = ctx["node_budget"]
     if args.count_only:
-        return _result(EXIT_OK, {"count": valuefns.count_value_functions(s, node_budget=budget)})
+        count = valuefns.count_value_functions(s, node_budget=budget)
+        return CommandResult(EXIT_OK, {"count": count})
     vfs = valuefns.enumerate_value_functions(s, node_budget=budget)
     payload = {"count": len(vfs), "value_functions": [vf.assignment for vf in vfs]}
-    return _result(EXIT_OK, payload)
+    return CommandResult(EXIT_OK, payload)
 
 
 def _cmd_classical_bound(args, ctx) -> CommandResult:
@@ -120,13 +118,13 @@ def _cmd_classical_bound(args, ctx) -> CommandResult:
     try:
         result = valuefns.classical_bound(s, coeffs, node_budget=ctx["node_budget"])
     except EmptyPolytopeError as exc:
-        return _result(EXIT_NEGATIVE, {"error": "empty-polytope", "message": str(exc)})
+        return CommandResult(EXIT_NEGATIVE, {"error": "empty-polytope", "message": str(exc)})
     payload = {
         "bound": format_rational(result.bound),
         "maximizer": result.maximizer.assignment,
         "value_function_count": result.value_function_count,
     }
-    return _result(EXIT_OK, payload)
+    return CommandResult(EXIT_OK, payload)
 
 
 def _cmd_state_bound(args, ctx) -> CommandResult:
@@ -137,8 +135,8 @@ def _cmd_state_bound(args, ctx) -> CommandResult:
     if result.status == "optimal":
         payload["value"] = format_rational(result.value)
         payload["point"] = {a: format_rational(v) for a, v in zip(s.outcomes, result.point)}
-        return _result(EXIT_OK, payload)
-    return _result(EXIT_NEGATIVE, payload)
+        return CommandResult(EXIT_OK, payload)
+    return CommandResult(EXIT_NEGATIVE, payload)
 
 
 def _cmd_membership(args, ctx) -> CommandResult:
@@ -150,8 +148,8 @@ def _cmd_membership(args, ctx) -> CommandResult:
             {"support": list(vf.support()), "weight": format_rational(p)}
             for vf, p in verdict.decomposition.weights
         ]
-        return _result(EXIT_OK, {"member": True, "weights": weights})
-    return _result(EXIT_NEGATIVE, {"member": False, "reason": verdict.status})
+        return CommandResult(EXIT_OK, {"member": True, "weights": weights})
+    return CommandResult(EXIT_NEGATIVE, {"member": False, "reason": verdict.status})
 
 
 def _cmd_quantum_scenario(args, ctx) -> CommandResult:
@@ -160,16 +158,14 @@ def _cmd_quantum_scenario(args, ctx) -> CommandResult:
 
 
 def _verdict_payload(verdict: antidist.AntidistVerdict, extra: dict | None = None) -> dict:
-    payload = {
+    return {
         "antidistinguishable": verdict.antidistinguishable,
         "via": verdict.via,
         "margin_strict": verdict.margin_strict,
         "margin_quadratic": verdict.margin_quadratic,
         "boundary": verdict.boundary,
+        **(extra or {}),
     }
-    if extra:
-        payload.update(extra)
-    return payload
 
 
 def _cmd_check_anti(args, ctx) -> CommandResult:
@@ -186,7 +182,7 @@ def _cmd_check_anti(args, ctx) -> CommandResult:
         x = antidist.TripleOverlaps(*(float(parse_rational(p)) for p in parts), tol)
         verdict = antidist.triple_antidistinguishable(x, tol)
         payload = _verdict_payload(verdict, {"sufficient_condition": antidist.corollary_check(x, tol)})
-        return _result(EXIT_OK if verdict.antidistinguishable else EXIT_NEGATIVE, payload)
+        return CommandResult(EXIT_OK if verdict.antidistinguishable else EXIT_NEGATIVE, payload)
     if args.vectors:
         if not args.triple:
             raise scenario.ScenarioParseError("--vectors requires --triple a,b,c")
@@ -200,7 +196,7 @@ def _cmd_check_anti(args, ctx) -> CommandResult:
             verdict,
             {"overlaps": [x.x1, x.x2, x.x3], "sufficient_condition": antidist.corollary_check(x, tol)},
         )
-        return _result(EXIT_OK if verdict.antidistinguishable else EXIT_NEGATIVE, payload)
+        return CommandResult(EXIT_OK if verdict.antidistinguishable else EXIT_NEGATIVE, payload)
     targets, cert = antidist.load_certificate(_read(args.certificate), tol)
     report = antidist.verify_certificate(targets, cert, tol)
     payload = {
@@ -209,7 +205,7 @@ def _cmd_check_anti(args, ctx) -> CommandResult:
         "residual_matched": report.residual_matched,
         "residual_extra": report.residual_extra,
     }
-    return _result(EXIT_OK if report.valid else EXIT_NEGATIVE, payload)
+    return CommandResult(EXIT_OK if report.valid else EXIT_NEGATIVE, payload)
 
 
 def _antiset_payload(aset: antiset.PairwiseAntiset) -> dict:
@@ -243,18 +239,15 @@ def _cmd_antiset(args, ctx) -> CommandResult:
         try:
             aset = _verify_antiset(args, ctx)
         except FailedTripleError as exc:
-            payload = {"verified": False, "failed_triple": list(exc.triple)}
-            payload.update(_verdict_payload(exc.verdict))
-            return _result(EXIT_NEGATIVE, payload)
-        payload = {"verified": True}
-        payload.update(_antiset_payload(aset))
-        return _result(EXIT_OK, payload)
+            return CommandResult(EXIT_NEGATIVE, {"verified": False, "failed_triple": list(exc.triple),
+                                                 **_verdict_payload(exc.verdict)})
+        return CommandResult(EXIT_OK, {"verified": True, **_antiset_payload(aset)})
     states = quantum.load_states(_read(args.vectors), ctx["tolerance"])
     found = antiset.find_strong_antisets(
         states, args.members.split(","), args.principal.split(","), ctx["tolerance"],
         node_budget=ctx["node_budget"],
     )
-    return _result(EXIT_OK, {"antisets": [_antiset_payload(a) for a in found]})
+    return CommandResult(EXIT_OK, {"antisets": [_antiset_payload(a) for a in found]})
 
 
 def _cmd_inequality(args, ctx) -> CommandResult:
@@ -264,12 +257,8 @@ def _cmd_inequality(args, ctx) -> CommandResult:
     if args.action == "augment":
         _require(args, ["ineq"])
         ineq = antiset.load_inequality(_read(args.ineq))
-        chosen = [
-            args.add_inequality is not None,
-            args.add_context is not None,
-            args.add_outcome is not None,
-        ]
-        if sum(chosen) != 1:
+        chosen = (args.add_inequality, args.add_context, args.add_outcome)
+        if sum(x is not None for x in chosen) != 1:
             raise scenario.ScenarioParseError(
                 "choose exactly one of --add-inequality, --add-context, --add-outcome"
             )
@@ -294,7 +283,7 @@ def _cmd_inequality(args, ctx) -> CommandResult:
         "margin": report.margin,
         "side_constraints_satisfied": report.side_constraints_satisfied,
     }
-    return _result(EXIT_OK if report.violated else EXIT_NEGATIVE, payload)
+    return CommandResult(EXIT_OK if report.violated else EXIT_NEGATIVE, payload)
 
 
 def _cmd_generate(args, ctx) -> CommandResult:
@@ -438,11 +427,18 @@ def dispatch(argv: list[str]) -> CommandResult:
 def main(argv: list[str] | None = None) -> int:
     result = dispatch(sys.argv[1:] if argv is None else argv)
     stream = sys.stderr if result.exit_code in (EXIT_USAGE, EXIT_RESOURCE) else sys.stdout
-    if result.payload is not None:
-        if result.fmt == "json":
-            print(json.dumps(result.payload, indent=2), file=stream)
-        elif result.text:
-            print(result.text, file=stream)
+    if result.payload is None:
+        return result.exit_code
+    if result.fmt == "json":
+        # in batches: json.dump writes each token (slow on a pipe), json.dumps holds all
+        tokens = json.JSONEncoder(indent=2).iterencode(result.payload)
+        while batch := "".join(islice(tokens, 1 << 16)):
+            stream.write(batch)
+        stream.write("\n")
+    else:
+        text = _kv_text(result.payload) if result.text is None else result.text
+        if text:
+            print(text, file=stream)
     return result.exit_code
 
 

@@ -148,7 +148,9 @@ class DensityOperator:
     @staticmethod
     def from_pure(vector: Sequence[complex]) -> "DensityOperator":
         v = np.asarray(vector, dtype=complex)
-        v = v / np.linalg.norm(v)
+        if not (norm := np.linalg.norm(v)):
+            raise ValueError("cannot normalize a zero vector")
+        v = v / norm
         return DensityOperator(len(v), np.outer(v, v.conj()))
 
     @staticmethod

@@ -18,10 +18,12 @@ component.  Components share no outcome, so each is searched on its own and
 the results combine: counts multiply, maxima add up, and the
 lexicographically first maximizer is the sum of the components' first
 maximizers.  Within a component the search branches on the open context
-with the fewest free members, trying each as its 1; with every context
-closed, it branches 0/1 on the first free outcome.  Each branch is one node
-of the node budget, which all components of one question share.  The search
-keeps its own stack, so no scenario is too deep for it.
+with the fewest free members, trying each as its 1.  With every context
+closed, it branches 0/1 on the first free outcome while more than 16 are
+free, then lists every completion of the rest at once by doubling a list of
+at most 2^16 masks.  Each branch, and each mask such a list builds, is one
+node of the node budget, which all components of one question share.  The
+search keeps its own stack, so no scenario is too deep for it.
 
 Enumeration, definite intersections and membership build the product of the
 components' sorted mask lists, charging one node per value function built,
@@ -113,14 +115,10 @@ class NoncontextualDecomposition:
     weights: tuple[tuple[ValueFunction, Fraction], ...]
 
     def induced_state(self) -> dict[str, Fraction]:
-        if not self.weights:
-            return {}
-        labels = self.weights[0][0].labels
-        state = {a: Fraction(0) for a in labels}
+        state = dict.fromkeys(self.weights[0][0].labels if self.weights else (), Fraction(0))
         for vf, p in self.weights:
-            for a, v in zip(vf.labels, vf.values):
-                if v:
-                    state[a] += p
+            for a in vf.support():
+                state[a] += p
         return state
 
 
@@ -212,12 +210,15 @@ def _search(outcomes: int, contexts: list[int], zeroed, gain, budget: _Budget, f
                 pick, fewest = free, k
         if not fewest:
             continue  # a context can no longer get its 1
-        if not pick:  # every context has its 1: branch 0/1 on the first free outcome
+        if not pick:  # every context has its 1: the free outcomes are the rest
             free = outcomes & allowed & ~ones
             if not free:
                 yield ones, weight
                 continue
-            pick = 1 << (free.bit_length() - 1)
+            if free.bit_count() <= 16:  # a list of at most 2^16 masks
+                yield from _completions(ones, weight, free, zeroed, gain, budget)
+                continue
+            pick = 1 << (free.bit_length() - 1)  # branch 0/1 on the first one
             stack.append((ones, zeros | pick, weight, still_open))
             fewest = 2
         budget.charge(fewest)
@@ -225,6 +226,21 @@ def _search(outcomes: int, contexts: list[int], zeroed, gain, budget: _Budget, f
             b = pick & -pick
             pick ^= b
             stack.append((ones | b, zeros | zeroed[b], weight + gain[b], still_open))
+
+
+def _completions(ones, weight, free, zeroed, gain, budget: _Budget) -> list[tuple[int, int]]:
+    """(ones, weight) for each way of adding 1s from `free` to `ones` with no
+    two sharing a (partial) context: a list doubling through `free`, lowest
+    bit first, one node charged per mask built."""
+    leaves = [(ones, weight)]
+    while free:
+        b = free & -free
+        free ^= b
+        clash, g = zeroed[b], gain[b]
+        grown = [(m | b, w + g) for m, w in leaves if not m & clash]
+        budget.charge(len(grown))
+        leaves += grown
+    return leaves
 
 
 def _masks(s: Scenario, node_budget, forced=()) -> list[int]:

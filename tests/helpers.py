@@ -7,25 +7,31 @@ Fourier-Motzkin elimination.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
+
+import numpy as np
 
 from antictx.scenario import Scenario, make_scenario, validate_scenario
 
 
 def naive_value_functions(s: Scenario) -> list[tuple[int, ...]]:
-    """Filter all 2^n assignments against the two defining clauses."""
+    """Filter all 2^n assignments against the two defining clauses.
+
+    Assignment k sets label i of the sorted order to bit n-1-i of k, so the
+    assignments come in lexicographic order; numpy filters them all at once.
+    """
     labels = sorted(s.outcomes)
-    index = {a: i for i, a in enumerate(labels)}
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(labels)):
-        if all(sum(bits[index[a]] for a in m) == 1 for m in s.contexts) and all(
-            sum(bits[index[a]] for a in n) <= 1 for n in s.partial_contexts
-        ):
-            out.append(bits)
-    return out
+    n = len(labels)
+    bit = {a: 1 << (n - 1 - i) for i, a in enumerate(labels)}
+    assignments = np.arange(1 << n, dtype=np.int64)
+    keep = np.ones(1 << n, dtype=bool)
+    for members, exact in [(m, True) for m in s.contexts] + [(m, False) for m in s.partial_contexts]:
+        ones = np.bitwise_count(assignments & sum(bit[a] for a in members))
+        keep &= ones == 1 if exact else ones <= 1
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    return list(map(tuple, (assignments[keep, None] >> shifts & 1).tolist()))
 
 
 def _antichain(sets: list[frozenset]) -> list[frozenset]:

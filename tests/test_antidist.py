@@ -150,6 +150,21 @@ def test_array_criterion_rejects_overlaps_beyond_the_tolerance():
     assert strict.tolist() == [0.0]
 
 
+def test_nan_overlaps_are_rejected():
+    nan = float("nan")
+    with pytest.raises(OverlapRangeError, match="x1 = nan "):
+        TripleOverlaps(nan, 0.1, 0.1)
+    with pytest.raises(OverlapRangeError, match="x3 = nan "):
+        TripleOverlaps(0.1, 0.1, nan, 0.5)
+    with pytest.raises(OverlapRangeError, match="x1 = nan "):
+        triple_criterion(nan, 0.1, 0.1)
+    with pytest.raises(OverlapRangeError, match="x2 = nan "):
+        triple_criterion([0.1, 0.1], [0.1, nan], [0.1, 0.1])
+    # one NaN broadcast against a column of triples names the first triple
+    with pytest.raises(OverlapRangeError, match="x1 = nan "):
+        triple_criterion(nan, np.full((4, 1), 0.1), [0.1, 0.2])
+
+
 def test_corollary_examples():
     assert corollary_check(TripleOverlaps(0.2, 0.2, 0.2))
     assert corollary_check(TripleOverlaps(0.25, 0.25, 0.25))

@@ -451,6 +451,16 @@ def test_json_and_text_report_identical_numbers(fixtures_dir, capsys):
     assert "bound: 2" in text_out
 
 
+def test_json_output_is_the_indented_payload_and_no_text(fixtures_dir, capsys):
+    argv = ["value-functions", fx(fixtures_dir, "klyachko.json"), "--format", "json"]
+    result = dispatch(argv)
+    assert result.text is None  # text is rendered only when asked for
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == json.dumps(result.payload, indent=2) + "\n"
+    assert cli.main(argv[:-2]) == 0
+    assert capsys.readouterr().out.startswith("count: 11\nvalue_functions:\n")
+
+
 def test_global_flags_accepted_before_subcommand(fixtures_dir):
     result = dispatch(
         ["--format", "json", "validate", fx(fixtures_dir, "specker.json")]

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,13 @@ def test_quantum_value_maroney_on_principal_state():
     rho = DensityOperator.from_pure(states.vector("c"))
     ones = {f"a{j}": 1 for j in range(1, 5)}
     assert abs(quantum_value(states, ones, rho) - 4 / 3) < 1e-9
+
+
+def test_from_pure_rejects_a_zero_vector():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by zero on the way
+        with pytest.raises(ValueError, match="cannot normalize a zero vector"):
+            DensityOperator.from_pure([0, 0])
 
 
 def test_quantum_value_dimension_mismatch():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -529,3 +530,84 @@ def test_full_mub_d7_all_ones_bound():
     result = classical_bound(s, dict.fromkeys(s.outcomes, 1))
     assert result.bound == 8
     assert result.value_function_count == 7**8 == 5_764_801
+
+
+# ------------------------- the tail: with every context closed, up to 16
+# free outcomes are listed at once, and more are first branched 0/1
+
+
+def _tail_scenario(rng, n, extra, size, context):
+    """n outcomes joined into one component by a random chain of partial
+    contexts, plus `extra` random partial contexts of 2..size outcomes.  With
+    `context`, the chain's first link is a context instead, and no extra set
+    touches its two outcomes, so n-3 outcomes stay free once it has its 1."""
+    labels = [f"o{i:02d}" for i in range(n)]
+    chain = rng.sample(labels, n)
+    links = [frozenset(p) for p in zip(chain, chain[1:])]
+    contexts = links[:1] if context else []
+    pool = chain[2:] if context else chain
+    sets = set(links[len(contexts):])
+    while len(sets) < n - 1 - len(contexts) + extra:
+        sets.add(frozenset(rng.sample(pool, rng.randint(2, size))))
+    partials = [x for x in sets if not any(x < y for y in sets)]
+    return make_scenario(labels, [sorted(x) for x in contexts], sorted(map(sorted, partials)))
+
+
+@pytest.mark.parametrize(
+    "n, extra, size, context",
+    [(17, 4, 3, False), (18, 8, 3, False), (20, 30, 4, False), (19, 6, 3, True),
+     (20, 10, 3, True), (20, 30, 4, True)],
+)
+def test_tail_matches_the_naive_filter(n, extra, size, context):
+    rng = random.Random(n * 100 + extra + size + context)
+    s = _tail_scenario(rng, n, extra, size, context)
+    labels = list(s.outcomes)
+    naive = naive_value_functions(s)
+    assert [vf.values for vf in enumerate_value_functions(s)] == naive
+    assert count_value_functions(s) == len(naive)
+    forced = rng.sample(labels, 2)
+    assert [vf.values for vf in definite_intersection(s, forced)] == [
+        bits for bits in naive if all(bits[labels.index(a)] for a in forced)
+    ]
+    # 0/1 gains tie often: the maximizer is the first heaviest vector
+    for coeffs in (
+        {a: rng.randint(0, 1) for a in labels},
+        {a: Fraction(rng.randint(-2, 3), rng.choice((1, 3))) for a in labels},
+    ):
+        values = [sum((coeffs[a] for a, bit in zip(labels, bits) if bit), Fraction(0)) for bits in naive]
+        result = classical_bound(s, coeffs)
+        assert result.bound == max(values)
+        assert result.maximizer.values == naive[values.index(max(values))]
+        assert result.value_function_count == len(naive)
+    members = rng.sample(labels, 6)
+    assert brute_force_antiset_bound(s, members) == max(
+        sum(bit for a, bit in zip(labels, bits) if a in members) for bits in naive
+    )
+    if len(naive) > 600:
+        return  # one LP column per value function
+    chosen = rng.sample(naive, 3)
+    state = {a: Fraction(sum(bits[i] for bits in chosen), 3) for i, a in enumerate(labels)}
+    verdict = is_noncontextual_state(s, state)
+    assert [(vf.values, p) for vf, p in verdict.decomposition.weights] == [
+        (bits, p) for bits, p in zip(naive, _lp_over_naive(naive, labels, state).point) if p
+    ]
+
+
+def test_hadamard6_value_functions_are_sorted_and_unique():
+    s = scenario_from_states(generate_states(FamilySpec("hadamard", 6, "B0")))
+    assert not s.contexts and len(s.partial_contexts) == 160
+    masks = [vf.ones for vf in enumerate_value_functions(s)]
+    assert len(masks) == 133_111 == count_value_functions(s)
+    assert all(a < b for a, b in zip(masks, masks[1:]))
+
+
+def test_tail_lists_stay_small_under_a_large_budget():
+    free = make_scenario([f"o{i:02d}" for i in range(40)], [], [])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            count_value_functions(free, node_budget=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
