@@ -18,27 +18,21 @@ of outcomes is antidistinguishable when some context M supplies a distinct
 member of A.  The search here additionally requires all named outcomes to
 be pairwise distinct where the informal definition is silent; without that
 refinement a classical scenario would make singletons antidistinguishable
-while still possessing definite value functions.
+while still possessing definite value functions.  The blockers are found by
+bipartite matching; the witness is the lexicographically first assignment.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    OverlapRangeError,
-    ResourceLimitError,
-    ScenarioParseError,
-    UnknownLabelError,
-)
+from .errors import DimensionMismatchError, OverlapRangeError, ScenarioParseError, UnknownLabelError
 from .quantum import TOLERANCE, GramData, PureStateSet, gram, states_from_doc
 from .scenario import Scenario, check_labels, read_document
-from .valuefns import DEFAULT_NODE_BUDGET
+from .valuefns import _Budget
 
 __all__ = [
     "TripleOverlaps",
@@ -73,9 +67,8 @@ class TripleOverlaps:
         for name, x in (("x1", self.x1), ("x2", self.x2), ("x3", self.x3)):
             if not -tol <= x <= 1.0 + tol:  # NaN fails too
                 raise OverlapRangeError(f"{name} = {x!r} lies outside [0, 1]")
-        object.__setattr__(self, "x1", min(1.0, max(0.0, self.x1)))
-        object.__setattr__(self, "x2", min(1.0, max(0.0, self.x2)))
-        object.__setattr__(self, "x3", min(1.0, max(0.0, self.x3)))
+        for name in ("x1", "x2", "x3"):
+            object.__setattr__(self, name, min(1.0, max(0.0, getattr(self, name))))
 
     @staticmethod
     def from_gram(g: GramData, a: str, b: str, c: str, tol: float = TOLERANCE) -> "TripleOverlaps":
@@ -204,74 +197,78 @@ class ScenarioAntidistVerdict:
     via: str = "combinatorial"
 
 
+def _saturates(left, edges, right, budget: _Budget) -> bool:
+    """Whether a matching gives each l in `left` its own partner from
+    `edges[l]` in the set `right` (Kuhn's augmenting paths)."""
+    partner = {}  # right -> left
+    for root in left:
+        came_from, stack = {}, [(root, None)]  # right -> (left that reached it, its partner)
+        while stack:
+            u, held = stack.pop()
+            if u is None:  # `held` is free: flip the path from root to it
+                while held is not None:
+                    partner[held], held = came_from[held]
+                break
+            for v in edges[u]:
+                budget.charge(1)
+                if v in right and v not in came_from:
+                    came_from[v] = u, held
+                    stack.append((partner.get(v), v))
+                    if v not in partner:
+                        break
+        else:
+            return False
+    return True
+
+
+def _first_blockers(targets, context, near, budget: _Budget) -> list[str] | None:
+    """The lexicographically first witnessing blockers in `context`, or None.
+
+    Target a may be blocked by the members in `near[a]`; the members that
+    are targets or miss some target must block.  By Mendelsohn-Dulmage
+    (1958) that holds iff the targets and those members each saturate a
+    matching."""
+    blocks = {a: [c for c in context if c in near[a]] for a in targets}
+    blocked_by = {c: [a for a in targets if c in near[a]] for c in context}
+
+    def feasible(rest, free: set[str]) -> bool:
+        must = [c for c in context if c in free and len(blocked_by[c]) < len(targets)]
+        return _saturates(rest, blocks, free, budget) and _saturates(must, blocked_by, set(rest), budget)
+
+    free = set(context)
+    if not feasible(targets, free):
+        return None
+    chosen = []
+    for i, a in enumerate(targets):
+        chosen.append(next(c for c in blocks[a] if c in free and feasible(targets[i + 1:], free - {c})))
+        free.discard(chosen[-1])
+    return chosen
+
+
 def scenario_antidistinguishable(
     s: Scenario, members: Iterable[str], *, node_budget: int | None = None
 ) -> ScenarioAntidistVerdict:
-    """Exhaustive search for a combinatorial antidistinguishability witness.
+    """Search for a combinatorial antidistinguishability witness by matching.
 
-    Scans contexts in canonical order and, within each, injective
-    assignments of blockers in lexicographic order, so the first witness is
-    deterministic.  Each assignment tried is one node; ResourceLimitError is
-    raised past `node_budget` nodes (default 10^8).
-    """
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    nodes = 0
+    Tries contexts in canonical order.  In the first with a witness, each
+    target in turn gets the first member in context order that leaves the
+    rest matchable: the lexicographically first blocker assignment.  Each
+    edge an augmenting path visits is one node; ResourceLimitError is raised
+    past `node_budget` nodes (default 10^8)."""
+    budget = _Budget(node_budget, "antidistinguishability search")
     targets = tuple(sorted(set(members)))
     if not targets:
         raise UnknownLabelError("the outcome set to test must be nonempty")
     check_labels(s.outcomes, targets)
-
-    all_sets = [tuple(sorted(t)) for t in s.all_sets()]
-    all_sets.sort()
-
-    def co_context(a: str, b: str) -> tuple[str, ...] | None:
-        for t in all_sets:
-            if a in t and b in t:
-                return t
-        return None
-
-    n = len(targets)
-    for context in sorted(tuple(sorted(m)) for m in s.contexts):
-        if len(context) < n:
-            continue
-        for blockers in itertools.permutations(context, n):
-            nodes += 1
-            if nodes > budget:
-                raise ResourceLimitError(f"antidistinguishability search exceeded {budget} nodes")
-            assignment = []
-            ok = True
-            for a, perp in zip(targets, blockers):
-                if a == perp:
-                    ok = False
-                    break
-                witness = co_context(a, perp)
-                if witness is None:
-                    ok = False
-                    break
-                assignment.append((a, perp, witness))
-            if not ok:
-                continue
-            leftover = [c for c in context if c not in set(blockers)]
-            pair_contexts = [(a, perp, witness) for a, perp, witness in assignment]
-            for c in leftover:
-                for a in targets:
-                    if c == a:
-                        ok = False
-                        break
-                    witness = co_context(c, a)
-                    if witness is None:
-                        ok = False
-                        break
-                    pair_contexts.append((a, c, witness))
-                if not ok:
-                    break
-            if ok:
-                return ScenarioAntidistVerdict(
-                    antidistinguishable=True,
-                    context=context,
-                    blockers=tuple((a, perp) for a, perp, _ in assignment),
-                    pair_contexts=tuple(pair_contexts),
-                )
+    all_sets = sorted(tuple(sorted(t)) for t in s.all_sets())
+    # the other outcomes that share a (partial) context with each target
+    near = {a: set().union(*(t for t in all_sets if a in t)) - {a} for a in targets}
+    for context in sorted(tuple(sorted(m)) for m in s.contexts if len(m) >= len(targets)):
+        chosen = _first_blockers(targets, context, near, budget)
+        if chosen is not None:
+            pairs = list(zip(targets, chosen)) + [(a, c) for c in context if c not in chosen for a in targets]
+            named = tuple((a, c, next(t for t in all_sets if a in t and c in t)) for a, c in pairs)
+            return ScenarioAntidistVerdict(True, context, tuple(zip(targets, chosen)), named)
     return ScenarioAntidistVerdict(antidistinguishable=False)
 
 

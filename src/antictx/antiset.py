@@ -239,28 +239,16 @@ def find_strong_antisets(
 
 def inequality_from_antiset(aset: PairwiseAntiset) -> NoncontextualityInequality:
     """The antiset inequality: unit coefficients on W, bound 1."""
-    coefficients = tuple((a, Fraction(1)) for a in aset.members)
     if aset.kind == "strong":
-        principal = ",".join(aset.principal)
-        return NoncontextualityInequality(
-            coefficients=coefficients,
-            bound=Fraction(1),
-            kind="state-independent",
-            side_constraints=(),
-            provenance=(
-                f"strong pairwise antiset of {len(aset.members)} outcomes over principal "
-                f"context {{{principal}}}; {len(aset.triple_log)} antidistinguishable triples"
-            ),
-        )
-    return NoncontextualityInequality(
-        coefficients=coefficients,
-        bound=Fraction(1),
-        kind="state-dependent",
-        side_constraints=((aset.principal, Fraction(1)),),
-        provenance=(
-            f"weak pairwise antiset of {len(aset.members)} outcomes with principal "
-            f"outcome {aset.principal}; {len(aset.triple_log)} antidistinguishable triples"
-        ),
+        side, origin = (), f"over principal context {{{','.join(aset.principal)}}}"
+    else:
+        side, origin = ((aset.principal, Fraction(1)),), f"with principal outcome {aset.principal}"
+    return _with_kind(
+        dict.fromkeys(aset.members, Fraction(1)),
+        Fraction(1),
+        side,
+        f"{aset.kind} pairwise antiset of {len(aset.members)} outcomes {origin}; "
+        f"{len(aset.triple_log)} antidistinguishable triples",
     )
 
 

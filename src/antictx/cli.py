@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -309,11 +310,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _node_budget(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):  # no sign, so never negative
+        raise argparse.ArgumentTypeError(f"node budget must be a nonnegative integer, got {text}")
+    return int(text)
+
+
 def _common_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--tolerance", type=_tolerance, default=argparse.SUPPRESS)
     parent.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
-    parent.add_argument("--node-budget", type=int, default=argparse.SUPPRESS)
+    parent.add_argument("--node-budget", type=_node_budget, default=argparse.SUPPRESS)
     return parent
 
 
@@ -429,16 +436,21 @@ def main(argv: list[str] | None = None) -> int:
     stream = sys.stderr if result.exit_code in (EXIT_USAGE, EXIT_RESOURCE) else sys.stdout
     if result.payload is None:
         return result.exit_code
-    if result.fmt == "json":
-        # in batches: json.dump writes each token (slow on a pipe), json.dumps holds all
-        tokens = json.JSONEncoder(indent=2).iterencode(result.payload)
-        while batch := "".join(islice(tokens, 1 << 16)):
-            stream.write(batch)
-        stream.write("\n")
-    else:
-        text = _kv_text(result.payload) if result.text is None else result.text
-        if text:
-            print(text, file=stream)
+    try:
+        if result.fmt == "json":
+            # in batches: json.dump writes each token (slow on a pipe), json.dumps holds all
+            tokens = json.JSONEncoder(indent=2).iterencode(result.payload)
+            while batch := "".join(islice(tokens, 1 << 16)):
+                stream.write(batch)
+            stream.write("\n")
+        else:
+            text = _kv_text(result.payload) if result.text is None else result.text
+            if text:
+                print(text, file=stream)
+        stream.flush()
+    except BrokenPipeError:  # the reader left; keep the flush at exit quiet too
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
     return result.exit_code
 
 

@@ -169,8 +169,8 @@ def _mub(d: int) -> PureStateSet:
 
 
 def _maroney(d: int) -> PureStateSet:
-    if d < 3:
-        raise UnsupportedParameterError("maroney needs dimension >= 3")
+    if not 3 <= d <= 1024:  # d states of dimension d, checked on a d x d Gram matrix
+        raise UnsupportedParameterError(f"maroney needs a dimension in [3, 1024], got {d}")
     pairs = []
     for j in range(1, d):
         vec = np.zeros(d, dtype=complex)
@@ -229,8 +229,8 @@ def generate_states(spec: FamilySpec) -> PureStateSet:
     if family == "caves_example":
         return _caves_example()
     if family == "standard_basis":
-        if d is None or d < 1:
-            raise UnsupportedParameterError("standard_basis needs a positive dimension")
+        if d is None or not 1 <= d <= 1024:  # a dense d x d complex matrix
+            raise UnsupportedParameterError(f"standard_basis needs a dimension in [1, 1024], got {d}")
         return _standard_basis(d)
     if family == "hadamard":
         if d is None:
@@ -254,13 +254,13 @@ def generate_states(spec: FamilySpec) -> PureStateSet:
 def generate_scenario(name: str, n: int | None = None) -> Scenario:
     """The abstract scenarios used throughout: verbatim structures."""
     if name == "classical":
-        if n is None or n < 1:
-            raise UnsupportedParameterError("classical scenario needs n >= 1")
+        if n is None or not 1 <= n <= 4096:
+            raise UnsupportedParameterError(f"classical scenario needs n in [1, 4096], got {n}")
         labels = [f"x{i + 1}" for i in range(n)]
         return make_scenario(labels, [labels], [])
     if name == "partial_classical":
-        if n is None or n < 1:
-            raise UnsupportedParameterError("partial_classical scenario needs n >= 1")
+        if n is None or not 1 <= n <= 4096:
+            raise UnsupportedParameterError(f"partial_classical scenario needs n in [1, 4096], got {n}")
         labels = [f"x{i + 1}" for i in range(n)]
         return make_scenario(labels, [], [labels])
     if name == "specker":

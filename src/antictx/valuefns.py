@@ -136,15 +136,16 @@ class _Budget:
     """The nodes one question may still spend, shared by the searches of its
     components and by the assembly of their product."""
 
-    __slots__ = ("limit", "left")
+    __slots__ = ("limit", "left", "search")
 
-    def __init__(self, node_budget: int | None):
+    def __init__(self, node_budget: int | None, search: str = "value-function search"):
         self.limit = self.left = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+        self.search = search
 
     def charge(self, nodes: int) -> None:
         self.left -= nodes
         if self.left < 0:
-            raise ResourceLimitError(f"value-function search exceeded {self.limit} nodes")
+            raise ResourceLimitError(f"{self.search} exceeded {self.limit} nodes")
 
 
 def _components(s: Scenario, budget: _Budget, forced=(), gains=None):

@@ -1,19 +1,25 @@
 """Independent oracles and random-instance generators for the test suite.
 
 These deliberately avoid the library's own algorithms: value functions are
-checked by filtering all 2^n assignments, and LP feasibility by
-Fourier-Motzkin elimination.
+checked by filtering all 2^n assignments, LP feasibility by Fourier-Motzkin
+elimination, and combinatorial antidistinguishability by trying every
+blocker permutation.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Iterable
 
 import numpy as np
 
-from antictx.scenario import Scenario, make_scenario, validate_scenario
+from antictx.antidist import ScenarioAntidistVerdict
+from antictx.errors import ResourceLimitError, UnknownLabelError
+from antictx.scenario import Scenario, check_labels, make_scenario, validate_scenario
+from antictx.valuefns import DEFAULT_NODE_BUDGET
 
 
 def naive_value_functions(s: Scenario) -> list[tuple[int, ...]]:
@@ -58,6 +64,78 @@ def random_scenario(rng: random.Random, max_outcomes: int = 10) -> Scenario:
         s = make_scenario(labels, contexts, partials)
         if validate_scenario(s).valid:
             return s
+
+
+def naive_antidistinguishable(
+    s: Scenario, members: Iterable[str], *, node_budget: int | None = None
+) -> ScenarioAntidistVerdict:
+    """Exhaustive search for a combinatorial antidistinguishability witness.
+
+    Scans contexts in canonical order and, within each, every injective
+    assignment of blockers (`itertools.permutations`) in lexicographic
+    order, so the first witness is deterministic.  Each assignment tried is
+    one node; ResourceLimitError is raised past `node_budget` nodes
+    (default 10^8).
+    """
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    nodes = 0
+    targets = tuple(sorted(set(members)))
+    if not targets:
+        raise UnknownLabelError("the outcome set to test must be nonempty")
+    check_labels(s.outcomes, targets)
+
+    all_sets = [tuple(sorted(t)) for t in s.all_sets()]
+    all_sets.sort()
+
+    def co_context(a: str, b: str) -> tuple[str, ...] | None:
+        for t in all_sets:
+            if a in t and b in t:
+                return t
+        return None
+
+    n = len(targets)
+    for context in sorted(tuple(sorted(m)) for m in s.contexts):
+        if len(context) < n:
+            continue
+        for blockers in itertools.permutations(context, n):
+            nodes += 1
+            if nodes > budget:
+                raise ResourceLimitError(f"antidistinguishability search exceeded {budget} nodes")
+            assignment = []
+            ok = True
+            for a, perp in zip(targets, blockers):
+                if a == perp:
+                    ok = False
+                    break
+                witness = co_context(a, perp)
+                if witness is None:
+                    ok = False
+                    break
+                assignment.append((a, perp, witness))
+            if not ok:
+                continue
+            leftover = [c for c in context if c not in set(blockers)]
+            pair_contexts = [(a, perp, witness) for a, perp, witness in assignment]
+            for c in leftover:
+                for a in targets:
+                    if c == a:
+                        ok = False
+                        break
+                    witness = co_context(c, a)
+                    if witness is None:
+                        ok = False
+                        break
+                    pair_contexts.append((a, c, witness))
+                if not ok:
+                    break
+            if ok:
+                return ScenarioAntidistVerdict(
+                    antidistinguishable=True,
+                    context=context,
+                    blockers=tuple((a, perp) for a, perp, _ in assignment),
+                    pair_contexts=tuple(pair_contexts),
+                )
+    return ScenarioAntidistVerdict(antidistinguishable=False)
 
 
 # ------------------------------------------------------ Fourier-Motzkin

@@ -25,7 +25,7 @@ from antictx.errors import (
 from antictx.quantum import PureStateSet, gram, scenario_from_states
 from antictx.scenario import make_scenario, validate_scenario
 
-from helpers import random_scenario
+from helpers import naive_antidistinguishable, random_scenario
 
 
 def test_yu_oh_triple_is_boundary_antidistinguishable():
@@ -308,13 +308,108 @@ def test_unknown_labels_and_empty_set():
         scenario_antidistinguishable(s, [])
 
 
+def _blocked_by_all_but_one(n: int):
+    """n targets that each share a partial context with the same n - 1 of
+    the n members of one context: Hall's condition fails only on all of them."""
+    context = [f"c{j:02d}" for j in range(n)]
+    targets = [f"t{i:02d}" for i in range(n)]
+    parts = [[t, c] for t in targets for c in context[:-1]]
+    return make_scenario(context + targets, [context], parts), targets
+
+
+def _one_target_apart(n: int):
+    """n targets and a context of n members; every target but the last
+    shares a partial context with every member, the last with none."""
+    context = [f"c{j:02d}" for j in range(n)]
+    targets = [f"t{i:02d}" for i in range(n)]
+    parts = [[t, c] for t in targets[:-1] for c in context]
+    return make_scenario(context + targets, [context], parts), targets
+
+
 def test_witness_search_obeys_the_node_budget():
-    # 12 * 11 * ... * 7 = 665,280 blocker assignments, none of them a witness
-    context = [f"c{i:02d}" for i in range(12)]
-    targets = [f"t{i}" for i in range(6)]
-    s = make_scenario(context + targets, [context])
-    with pytest.raises(ResourceLimitError):
+    # the matching visits 198 edges before Hall's condition fails on all 12 targets
+    s, targets = _blocked_by_all_but_one(12)
+    with pytest.raises(ResourceLimitError, match="antidistinguishability search exceeded 100 nodes"):
         scenario_antidistinguishable(s, targets, node_budget=100)
+    assert not scenario_antidistinguishable(s, targets, node_budget=200).antidistinguishable
+
+
+def test_one_target_apart_is_decided_within_a_small_budget():
+    # the permutation scan would try all 12! blocker assignments here
+    s, targets = _one_target_apart(12)
+    assert validate_scenario(s).valid
+    assert not scenario_antidistinguishable(s, targets, node_budget=10_000).antidistinguishable
+    s, targets = _one_target_apart(40)
+    assert not scenario_antidistinguishable(s, targets).antidistinguishable
+
+
+def _dense_single_context(rng: random.Random):
+    """One context of 2..7 members among up to 3 extra outcomes, with up to
+    12 random partial contexts of two outcomes not both in the context."""
+    n = rng.randint(2, 7)
+    labels = [f"o{i}" for i in range(n + rng.randint(0, 3))]
+    context = rng.sample(labels, n)
+    parts = {frozenset(rng.sample(labels, 2)) for _ in range(rng.randint(0, 12))}
+    parts = [sorted(p) for p in parts if not p <= set(context)]
+    return make_scenario(labels, [context], parts), rng.sample(labels, rng.randint(1, min(4, n)))
+
+
+def test_matching_agrees_with_the_permutation_scan():
+    rng = random.Random(2024)
+    cases = []
+    for _ in range(3000):
+        s = random_scenario(rng, max_outcomes=9)
+        cases.append((s, rng.sample(sorted(s.outcomes), rng.randint(1, min(4, len(s.outcomes))))))
+    cases += [_dense_single_context(rng) for _ in range(300)]
+    positive = 0
+    for s, targets in cases:
+        verdict = scenario_antidistinguishable(s, targets)
+        assert verdict == naive_antidistinguishable(s, targets)
+        positive += verdict.antidistinguishable
+    assert positive > 600  # both verdicts are well represented
+
+
+def _assert_witness(s, targets, verdict):
+    """The verdict's context, blockers and pair contexts witness it."""
+    sets = {frozenset(t) for t in s.all_sets()}
+    assert frozenset(verdict.context) in set(s.contexts)
+    assert [a for a, _ in verdict.blockers] == sorted(set(targets))
+    perps = [perp for _, perp in verdict.blockers]
+    assert len(set(perps)) == len(perps) and set(perps) <= set(verdict.context)
+    named = {}
+    for a, b, t in verdict.pair_contexts:
+        assert a != b and {a, b} <= set(t) and frozenset(t) in sets
+        named[a, b] = t
+    assert all((a, perp) in named for a, perp in verdict.blockers)
+    leftover = set(verdict.context) - set(perps)
+    assert all((a, c) in named for c in leftover for a in targets)
+    assert len(named) == len(verdict.pair_contexts) == len(targets) * (1 + len(leftover))
+
+
+def test_verdict_survives_relabeling_and_every_witness_checks():
+    rng = random.Random(77)
+    positive = 0
+    for k in range(600):
+        if k % 2:
+            s, targets = _dense_single_context(rng)
+        else:
+            s = random_scenario(rng, max_outcomes=8)
+            targets = rng.sample(sorted(s.outcomes), rng.randint(1, min(3, len(s.outcomes))))
+        verdict = scenario_antidistinguishable(s, targets)
+        fresh = dict(zip(s.outcomes, (f"r{j:03d}" for j in rng.sample(range(1000), len(s.outcomes)))))
+        relabeled = make_scenario(
+            [fresh[a] for a in s.outcomes],
+            [[fresh[a] for a in m] for m in s.contexts],
+            [[fresh[a] for a in m] for m in s.partial_contexts],
+        )
+        renamed = [fresh[a] for a in targets]
+        other = scenario_antidistinguishable(relabeled, renamed)
+        assert other.antidistinguishable == verdict.antidistinguishable
+        if verdict.antidistinguishable:
+            positive += 1
+            _assert_witness(s, targets, verdict)
+            _assert_witness(relabeled, renamed, other)
+    assert positive > 100
 
 
 def test_monotone_under_added_sets():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from antictx import cli, ensembles, quantum
 from antictx.cli import dispatch
@@ -297,6 +301,19 @@ def test_antiset_find_node_budget_exit_code(fixtures_dir):
             "--members", "a1,a2,a3,a4", "--principal", "c1,c2,c3"]
     assert dispatch(argv + ["--node-budget", "1"]).exit_code == 3
     assert dispatch(argv + ["--node-budget", "5"]).exit_code == 0
+
+
+def test_negative_node_budget_is_usage_error(fixtures_dir, capsys):
+    count = ["value-functions", fx(fixtures_dir, "klyachko.json"), "--count-only"]
+    find = ["antiset", "find", fx(fixtures_dir, "yu_oh_all.json"),
+            "--members", "a1,a2,a3,a4", "--principal", "c1,c2,c3"]
+    for argv in (count + ["--node-budget", "-1"], find + ["--node-budget", "-3"],
+                 count + ["--node-budget", "2.5"]):
+        assert dispatch(argv).exit_code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "node budget must be a nonnegative integer" in err
+    # zero is a valid budget that runs out at once
+    assert dispatch(count + ["--node-budget", "0"]).exit_code == 3
 
 
 def test_antiset_find_repeated_ray_is_usage_error(tmp_path):
@@ -677,3 +694,16 @@ def test_certificate_without_targets_is_usage_error(fixtures_dir, tmp_path):
     result = dispatch(["check-anti", "--certificate", _write_json(tmp_path, "cert.json", doc)])
     assert result.exit_code == 2
     assert result.payload["message"] == "'targets' must name at least one state"
+
+
+def test_closed_pipe_leaves_no_traceback():
+    # ~0.5 MB of JSON: the writer is still blocked on the pipe when it closes
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "antictx.cli", "generate", "standard_basis", "--d", "100"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.wait(timeout=60)
+    assert proc.returncode == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -49,6 +49,27 @@ def test_hadamard_rejects_dimension_13_before_building(monkeypatch):
             generate_states(FamilySpec("hadamard", 13, subset))
 
 
+def test_standard_basis_and_maroney_reject_dimension_1025_before_building(monkeypatch):
+    # a dense 1025 x 1025 complex matrix each; d = 100,000 would ask for ~160 GB
+    def build(*args):
+        raise AssertionError("a state family past its cap built its states")
+
+    monkeypatch.setattr(ensembles.PureStateSet, "from_pairs", build)
+    for family, low in (("standard_basis", 1), ("maroney", 3)):
+        with pytest.raises(UnsupportedParameterError, match=rf"\[{low}, 1024\], got 1025"):
+            generate_states(FamilySpec(family, 1025))
+
+
+def test_classical_scenarios_reject_n_4097_before_building(monkeypatch):
+    def build(*args):
+        raise AssertionError("a classical scenario past its cap was built")
+
+    monkeypatch.setattr(ensembles, "make_scenario", build)
+    for name in ("classical", "partial_classical"):
+        with pytest.raises(UnsupportedParameterError, match=r"\[1, 4096\], got 4097"):
+            generate_scenario(name, 4097)
+
+
 def test_hadamard_b0_first_component_positive():
     b0 = generate_states(FamilySpec("hadamard", 3, "B0"))
     assert len(b0) == 4
