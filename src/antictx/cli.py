@@ -304,7 +304,10 @@ def _cmd_reproduce(args, ctx) -> CommandResult:
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text}") from None
     if not 0 < value < 1:  # also rejects nan, which would flip verdicts silently
         raise argparse.ArgumentTypeError(f"tolerance must lie strictly between 0 and 1, got {text}")
     return value

@@ -29,16 +29,20 @@ Enumeration, definite intersections and membership build the product of the
 components' sorted mask lists, charging one node per value function built,
 so the budget also caps the list.  Classical bounds count and keep the
 heaviest value function under integer weights, building no list.  A
-`ValueFunction` holds its mask, not a vector.  There is no tolerance
-anywhere in this module.
+`ValueFunction` is an immutable `(labels, ones)` NamedTuple; lists of them
+are built with the cyclic collector paused, as they make no cycles.  There
+is no tolerance anywhere in this module.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm, prod
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import ratlp
 from .errors import (
@@ -69,12 +73,12 @@ __all__ = [
 DEFAULT_NODE_BUDGET = 10**8
 
 
-@dataclass(frozen=True, slots=True)
-class ValueFunction:
+class ValueFunction(NamedTuple):
     """A total 0/1 assignment over the canonical outcome order.
 
     `ones` is the mask of the outcomes set to 1, label i at bit n-1-i, so
-    masks compare like the 0/1 vectors.
+    masks compare like the 0/1 vectors.  As a 2-tuple it iterates as, and
+    equals, its `(labels, ones)` pair; `vf[label]` takes labels only.
     """
 
     labels: tuple[str, ...]
@@ -255,16 +259,30 @@ def _masks(s: Scenario, node_budget, forced=()) -> list[int]:
             return []
         factors.append(found)
     budget.charge(prod(map(len, factors)))
-    product = [0]
-    for found in factors:
+    product, *rest = factors or [[0]]
+    for found in rest:
         product = [a | b for a in product for b in found]
-    product.sort()  # components can interleave their bits
+    if rest:
+        product.sort()  # components can interleave their bits
     return product
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic collector, restarting it on exit only if it ran on entry."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _value_functions(s: Scenario, node_budget, forced=()) -> list[ValueFunction]:
-    labels = s.outcomes
-    return [ValueFunction(labels, ones) for ones in _masks(s, node_budget, forced)]
+    with _gc_paused():
+        masks = _masks(s, node_budget, forced)
+        return list(map(tuple.__new__, repeat(ValueFunction), zip(repeat(s.outcomes), masks)))
 
 
 def _best(s: Scenario, gains: Mapping[str, int], node_budget):

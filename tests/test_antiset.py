@@ -28,7 +28,7 @@ from antictx.errors import (
     NotABasisError,
     ResourceLimitError,
 )
-from antictx.quantum import DensityOperator, PureStateSet
+from antictx.quantum import DensityOperator, PureStateSet, scenario_from_states
 from antictx.ratlp import build_state_polytope, solve
 from antictx.valuefns import enumerate_value_functions
 
@@ -283,6 +283,79 @@ def test_maximal_cliques_obeys_the_node_budget():
         maximal_cliques(5, adjacency, node_budget=8)
     expected = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
     assert maximal_cliques(5, adjacency, node_budget=9) == expected
+
+
+# ------------------------- global phases and antipodal duplicates: seeded
+# properties of scenario generation and antiset search over MUB d=5 and a
+# random C^4 pool
+
+
+def _mub5_pool():
+    states = generate_states(FamilySpec("mub", 5))
+    basis = [a for a in states.labels if a.startswith("a1_")]
+    return states, [a for a in states.labels if a not in basis], basis
+
+
+def _c4_pool(seed):
+    """`random_pool(seed)` plus a random basis (a context) and two vectors
+    of another (a partial context)."""
+    states, pool, basis = random_pool(seed, n=12)
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0] for _ in range(2))
+    extra = PureStateSet(4, ("u0", "u1", "u2", "u3", "v0", "v1"), np.vstack([u.T, v.T[:2]]))
+    return states.union(extra), pool, basis
+
+
+def _rephased(states, rng):
+    phases = np.exp(2j * np.pi * rng.random(len(states)))
+    return PureStateSet(states.dimension, states.labels, states.vectors * phases[:, None])
+
+
+def _verdicts(log):
+    return [(a, b, c, v.antidistinguishable, v.boundary, v.via) for a, b, c, v in log]
+
+
+def _first_failure(states, members, basis):
+    try:
+        verify_strong_antiset(states, members, basis)
+    except FailedTripleError as exc:
+        return exc.triple
+    return None
+
+
+def test_global_phases_change_no_scenario_and_no_antiset():
+    rng = np.random.default_rng(2024)
+    found = partial = failed = 0
+    for states, pool, basis in [_mub5_pool()] + [_c4_pool(seed) for seed in range(4)]:
+        s = scenario_from_states(states)
+        antisets = find_strong_antisets(states, pool, basis)
+        logs = [_verdicts(verify_strong_antiset(states, a.members, basis).triple_log) for a in antisets]
+        failure = _first_failure(states, pool, basis)
+        for _ in range(3):
+            other = _rephased(states, rng)
+            t = scenario_from_states(other)
+            assert (t.contexts, t.partial_contexts) == (s.contexts, s.partial_contexts)
+            again = find_strong_antisets(other, pool, basis)
+            assert [a.members for a in again] == [a.members for a in antisets]
+            for aset, log in zip(antisets, logs):
+                assert _verdicts(verify_strong_antiset(other, aset.members, basis).triple_log) == log
+            assert _first_failure(other, pool, basis) == failure
+        found += len(antisets)
+        partial += len(s.partial_contexts)
+        failed += failure is not None
+    assert found > 40 and partial and failed == 4
+
+
+def test_antipodal_duplicate_is_named_by_scenario_generation_and_search():
+    rng = np.random.default_rng(5)
+    for states, pool, basis in [_mub5_pool()] + [_c4_pool(seed) for seed in range(3)]:
+        for a in rng.choice(pool, 3, replace=False).tolist():
+            twin = f"{a}_neg"
+            doubled = states.union(PureStateSet(states.dimension, (twin,), -states.vectors[[states.index(a)]]))
+            with pytest.raises(DuplicateRayError, match=f"'{a}' and '{twin}' are the same ray"):
+                scenario_from_states(doubled)
+            with pytest.raises(DuplicateRayError, match=f"'{a}' and '{twin}' are the same ray"):
+                find_strong_antisets(doubled, pool + [twin], basis)
 
 
 # ------------------------------------------------------------ inequalities

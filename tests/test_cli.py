@@ -651,6 +651,13 @@ def test_tolerance_must_lie_between_zero_and_one():
         assert dispatch(["check-anti", "--overlaps", "0.1,0.1,0.1", "--tolerance", value]).exit_code == 2
 
 
+def test_non_numeric_tolerance_is_usage_error(capsys):
+    assert dispatch(["check-anti", "--overlaps", "0.1,0.1,0.1", "--tolerance", "abc"]).exit_code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "argument --tolerance: tolerance must be a number, got abc" in err
+    assert "_tolerance" not in err
+
+
 def test_tolerance_that_joins_more_than_d_rays_is_usage_error(fixtures_dir):
     # at 0.5 the Yu-Oh rays form a clique of 7 mutually "orthogonal" rays in d = 3
     argv = ["quantum-scenario", fx(fixtures_dir, "yu_oh_all.json"), "--tolerance", "0.5"]

@@ -1,4 +1,7 @@
+import copy
+import gc
 import itertools
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -23,6 +26,7 @@ from antictx.valuefns import (
     definite_intersection,
     enumerate_value_functions,
     is_noncontextual_state,
+    ValueFunction,
     parse_state_json,
 )
 
@@ -611,3 +615,67 @@ def test_tail_lists_stay_small_under_a_large_budget():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+# ------------------------- the ValueFunction record: equality, hashing, repr,
+# pickling and immutability, and the collector state the list build leaves
+
+
+def _mixed():
+    """A context, a partial context and an outcome in no set: three
+    components whose outcomes interleave in the canonical order."""
+    return make_scenario(["a", "b", "c", "d", "e"], [["a", "c"]], [["b", "e"]])
+
+
+def test_value_function_record_semantics():
+    s = _mixed()
+    vf = ValueFunction(s.outcomes, 0b10011)
+    twin = ValueFunction(tuple(s.outcomes), 0b10011)
+    assert vf == twin and hash(vf) == hash(twin)
+    assert vf != ValueFunction(s.outcomes, 0b10010)
+    assert repr(vf) == "ValueFunction(labels=('a', 'b', 'c', 'd', 'e'), ones=19)"
+    assert (vf.labels, vf.ones) == (s.outcomes, 19)
+    for other in (pickle.loads(pickle.dumps(vf)), copy.copy(vf), copy.deepcopy(vf)):
+        assert other == vf and type(other) is ValueFunction
+    with pytest.raises(AttributeError):
+        vf.ones = 3
+    with pytest.raises(UnknownLabelError):
+        vf["z"]
+    with pytest.raises(UnknownLabelError):
+        vf[0]
+    assert vf.values == (1, 0, 0, 1, 1)
+    assert vf.assignment == {"a": 1, "b": 0, "c": 0, "d": 1, "e": 1}
+    assert vf.support() == ("a", "d", "e")
+    assert [vf[a] for a in s.outcomes] == [1, 0, 0, 1, 1]
+
+
+def test_value_function_lists_hold_records():
+    s = _mixed()
+    vfs = enumerate_value_functions(s)
+    assert [vf.values for vf in vfs] == naive_value_functions(s)
+    assert [vf.support() for vf in vfs[:3]] == [("c",), ("c", "e"), ("c", "d")]
+    assert vfs[-1].assignment == {"a": 1, "b": 1, "c": 0, "d": 1, "e": 0}
+    assert all(type(vf) is ValueFunction and vf.labels is s.outcomes for vf in vfs)
+    definite = definite_intersection(s, ["d"])
+    assert definite == [vf for vf in vfs if vf["d"]]
+    assert all(type(vf) is ValueFunction for vf in definite)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_list_builds_leave_the_collector_as_they_found_it(enabled):
+    s = generate_scenario("klyachko")
+    calls = [
+        lambda budget: enumerate_value_functions(s, node_budget=budget),
+        lambda budget: definite_intersection(s, ["0"], node_budget=budget),
+    ]
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        for call in calls:
+            assert call(None)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ResourceLimitError):
+                call(2)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
