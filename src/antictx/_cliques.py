@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ResourceLimitError
+from .errors import NodeBudget
 
 
 def _bits(mask: int) -> list[int]:
@@ -30,17 +30,16 @@ def maximal_cliques(
     """All maximal cliques of the graph on vertices 0..n-1, sorted.
 
     Raises ResourceLimitError when the search visits more than
-    `node_budget` nodes (one node = one clique/candidates/excluded triple).
+    `node_budget` nodes (default 10^8; one node = one
+    clique/candidates/excluded triple).
     """
+    budget = NodeBudget(node_budget, "clique search")
     neighbours = [sum(1 << u for u in adjacency[v]) for v in range(n)]
     cliques: list[tuple[int, ...]] = []
-    nodes = 0
     stack = [(0, (1 << n) - 1, 0)]
     while stack:
         clique, candidates, excluded = stack.pop()
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise ResourceLimitError(f"clique search exceeded {node_budget} nodes")
+        budget.charge(1)
         if not candidates:
             if not excluded:
                 cliques.append(tuple(_bits(clique)))

@@ -29,10 +29,15 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, OverlapRangeError, ScenarioParseError, UnknownLabelError
+from .errors import (
+    DimensionMismatchError,
+    NodeBudget,
+    OverlapRangeError,
+    ScenarioParseError,
+    UnknownLabelError,
+)
 from .quantum import TOLERANCE, GramData, PureStateSet, gram, states_from_doc
 from .scenario import Scenario, check_labels, read_document
-from .valuefns import _Budget
 
 __all__ = [
     "TripleOverlaps",
@@ -197,7 +202,7 @@ class ScenarioAntidistVerdict:
     via: str = "combinatorial"
 
 
-def _saturates(left, edges, right, budget: _Budget) -> bool:
+def _saturates(left, edges, right, budget: NodeBudget) -> bool:
     """Whether a matching gives each l in `left` its own partner from
     `edges[l]` in the set `right` (Kuhn's augmenting paths)."""
     partner = {}  # right -> left
@@ -221,7 +226,7 @@ def _saturates(left, edges, right, budget: _Budget) -> bool:
     return True
 
 
-def _first_blockers(targets, context, near, budget: _Budget) -> list[str] | None:
+def _first_blockers(targets, context, near, budget: NodeBudget) -> list[str] | None:
     """The lexicographically first witnessing blockers in `context`, or None.
 
     Target a may be blocked by the members in `near[a]`; the members that
@@ -255,7 +260,7 @@ def scenario_antidistinguishable(
     rest matchable: the lexicographically first blocker assignment.  Each
     edge an augmenting path visits is one node; ResourceLimitError is raised
     past `node_budget` nodes (default 10^8)."""
-    budget = _Budget(node_budget, "antidistinguishability search")
+    budget = NodeBudget(node_budget, "antidistinguishability search")
     targets = tuple(sorted(set(members)))
     if not targets:
         raise UnknownLabelError("the outcome set to test must be nonempty")

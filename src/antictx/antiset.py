@@ -207,7 +207,7 @@ def find_strong_antisets(
     the logs of its pairs, in the order `verify_strong_antiset` gives.  Raises
     DuplicateRayError when two pool states are the same ray, and
     ResourceLimitError when the clique search visits more than
-    `node_budget` nodes.
+    `node_budget` nodes (default 10^8).
     """
     pool = tuple(sorted(set(candidate_pool)))
     principal = tuple(principal)

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -24,6 +24,7 @@ from .errors import (
     FailedTripleError,
     ResourceLimitError,
     ScenarioValidationError,
+    UnsupportedParameterError,
 )
 from .quantum import DensityOperator
 from .ratlp import format_rational, parse_rational
@@ -82,6 +83,11 @@ def _parse_rho(spec: str | None, states: quantum.PureStateSet, tol: float) -> De
     return quantum.load_density(_read(spec), tol)
 
 
+def _findings(findings) -> list[dict]:
+    # list(...): as text, _kv_text would print a tuple as its repr
+    return [{"rule": f.rule, "subjects": list(f.subjects)} for f in findings]
+
+
 def _document(blob: bytes) -> CommandResult:
     """Print one serialized document; as text it is the document itself."""
     text = blob.decode("utf-8").rstrip("\n")
@@ -96,8 +102,8 @@ def _cmd_validate(args, ctx) -> CommandResult:
     report = scenario.validate_scenario(candidate)
     payload = {
         "valid": report.valid,
-        "violations": [{"rule": f.rule, "subjects": list(f.subjects)} for f in report.violations],
-        "warnings": [{"rule": f.rule, "subjects": list(f.subjects)} for f in report.warnings],
+        "violations": _findings(report.violations),
+        "warnings": _findings(report.warnings),
     }
     return CommandResult(EXIT_OK if report.valid else EXIT_NEGATIVE, payload)
 
@@ -158,17 +164,6 @@ def _cmd_quantum_scenario(args, ctx) -> CommandResult:
     return _document(scenario.save_scenario(quantum.scenario_from_states(states, ctx["tolerance"])))
 
 
-def _verdict_payload(verdict: antidist.AntidistVerdict, extra: dict | None = None) -> dict:
-    return {
-        "antidistinguishable": verdict.antidistinguishable,
-        "via": verdict.via,
-        "margin_strict": verdict.margin_strict,
-        "margin_quadratic": verdict.margin_quadratic,
-        "boundary": verdict.boundary,
-        **(extra or {}),
-    }
-
-
 def _cmd_check_anti(args, ctx) -> CommandResult:
     tol = ctx["tolerance"]
     modes = [bool(args.overlaps), bool(args.vectors), bool(args.certificate)]
@@ -176,15 +171,17 @@ def _cmd_check_anti(args, ctx) -> CommandResult:
         raise scenario.ScenarioParseError(
             "choose exactly one of --overlaps, --vectors/--triple, --certificate"
         )
+    if args.certificate:
+        targets, cert = antidist.load_certificate(_read(args.certificate), tol)
+        report = antidist.verify_certificate(targets, cert, tol)
+        return CommandResult(EXIT_OK if report.valid else EXIT_NEGATIVE, asdict(report))
     if args.overlaps:
         parts = args.overlaps.split(",")
         if len(parts) != 3:
             raise scenario.ScenarioParseError("--overlaps needs three comma-separated values")
         x = antidist.TripleOverlaps(*(float(parse_rational(p)) for p in parts), tol)
-        verdict = antidist.triple_antidistinguishable(x, tol)
-        payload = _verdict_payload(verdict, {"sufficient_condition": antidist.corollary_check(x, tol)})
-        return CommandResult(EXIT_OK if verdict.antidistinguishable else EXIT_NEGATIVE, payload)
-    if args.vectors:
+        extra = {}
+    else:
         if not args.triple:
             raise scenario.ScenarioParseError("--vectors requires --triple a,b,c")
         labels = args.triple.split(",")
@@ -192,21 +189,10 @@ def _cmd_check_anti(args, ctx) -> CommandResult:
             raise scenario.ScenarioParseError("--triple needs three comma-separated labels")
         states = quantum.load_states(_read(args.vectors), tol)
         x = antidist.TripleOverlaps.from_states(states, *labels, tol=tol)
-        verdict = antidist.triple_antidistinguishable(x, tol)
-        payload = _verdict_payload(
-            verdict,
-            {"overlaps": [x.x1, x.x2, x.x3], "sufficient_condition": antidist.corollary_check(x, tol)},
-        )
-        return CommandResult(EXIT_OK if verdict.antidistinguishable else EXIT_NEGATIVE, payload)
-    targets, cert = antidist.load_certificate(_read(args.certificate), tol)
-    report = antidist.verify_certificate(targets, cert, tol)
-    payload = {
-        "valid": report.valid,
-        "residual_orthonormality": report.residual_orthonormality,
-        "residual_matched": report.residual_matched,
-        "residual_extra": report.residual_extra,
-    }
-    return CommandResult(EXIT_OK if report.valid else EXIT_NEGATIVE, payload)
+        extra = {"overlaps": [x.x1, x.x2, x.x3]}
+    verdict = antidist.triple_antidistinguishable(x, tol)
+    payload = {**asdict(verdict), **extra, "sufficient_condition": antidist.corollary_check(x, tol)}
+    return CommandResult(EXIT_OK if verdict.antidistinguishable else EXIT_NEGATIVE, payload)
 
 
 def _antiset_payload(aset: antiset.PairwiseAntiset) -> dict:
@@ -241,7 +227,7 @@ def _cmd_antiset(args, ctx) -> CommandResult:
             aset = _verify_antiset(args, ctx)
         except FailedTripleError as exc:
             return CommandResult(EXIT_NEGATIVE, {"verified": False, "failed_triple": list(exc.triple),
-                                                 **_verdict_payload(exc.verdict)})
+                                                 **asdict(exc.verdict)})
         return CommandResult(EXIT_OK, {"verified": True, **_antiset_payload(aset)})
     states = quantum.load_states(_read(args.vectors), ctx["tolerance"])
     found = antiset.find_strong_antisets(
@@ -277,20 +263,18 @@ def _cmd_inequality(args, ctx) -> CommandResult:
     states = quantum.load_states(_read(args.vectors), ctx["tolerance"])
     rho = _parse_rho(args.rho, states, ctx["tolerance"])
     report = antiset.evaluate_inequality(ineq, states, rho, ctx["tolerance"])
-    payload = {
-        "lhs": report.lhs,
-        "bound": format_rational(report.bound),
-        "violated": report.violated,
-        "margin": report.margin,
-        "side_constraints_satisfied": report.side_constraints_satisfied,
-    }
+    payload = {**asdict(report), "bound": format_rational(report.bound)}  # "bound" keeps its place
     return CommandResult(EXIT_OK if report.violated else EXIT_NEGATIVE, payload)
 
 
 def _cmd_generate(args, ctx) -> CommandResult:
     name = args.family
     if name in ensembles.SCENARIO_NAMES:
+        if args.d is not None or args.subset is not None:
+            raise UnsupportedParameterError(f"scenario {name!r} takes no --d or --subset")
         return _document(scenario.save_scenario(ensembles.generate_scenario(name, args.n)))
+    if args.n is not None and name in ensembles.STATE_FAMILIES:
+        raise UnsupportedParameterError(f"state family {name!r} takes no --n")
     return _document(quantum.save_states(ensembles.generate_states(FamilySpec(name, args.d, args.subset))))
 
 
@@ -420,12 +404,7 @@ def dispatch(argv: list[str]) -> CommandResult:
         result = CommandResult(EXIT_RESOURCE, {"error": "resource-limit", "message": str(exc)},
                                f"error: {exc}")
     except ScenarioValidationError as exc:
-        payload = {
-            "error": "validation",
-            "violations": [
-                {"rule": f.rule, "subjects": list(f.subjects)} for f in exc.report.violations
-            ],
-        }
+        payload = {"error": "validation", "violations": _findings(exc.report.violations)}
         result = CommandResult(EXIT_USAGE, payload, f"error: {exc}")
     except (AntictxError, OSError, ValueError) as exc:
         result = CommandResult(EXIT_USAGE, {"error": type(exc).__name__, "message": str(exc)},

@@ -219,9 +219,24 @@ def _sic(d: int) -> PureStateSet:
     return states
 
 
+_FIXED_FAMILIES = ("yu_oh_rays", "yu_oh_principal", "caves_example")
+
+
 def generate_states(spec: FamilySpec) -> PureStateSet:
+    """The states of one family.  The fixed families take no dimension, the
+    others need one, and only hadamard takes a subset; anything else raises
+    UnsupportedParameterError."""
     family = spec.family
     d = spec.dimension
+    if family not in STATE_FAMILIES:
+        raise UnsupportedParameterError(f"unknown state family {family!r}")
+    if spec.subset is not None and family != "hadamard":
+        raise UnsupportedParameterError(f"{family} takes no subset")
+    if family in _FIXED_FAMILIES:
+        if d is not None:
+            raise UnsupportedParameterError(f"{family} takes no dimension, got {d}")
+    elif d is None:
+        raise UnsupportedParameterError(f"{family} needs a dimension")
     if family == "yu_oh_rays":
         return _yu_oh_rays()
     if family == "yu_oh_principal":
@@ -229,40 +244,26 @@ def generate_states(spec: FamilySpec) -> PureStateSet:
     if family == "caves_example":
         return _caves_example()
     if family == "standard_basis":
-        if d is None or not 1 <= d <= 1024:  # a dense d x d complex matrix
+        if not 1 <= d <= 1024:  # a dense d x d complex matrix
             raise UnsupportedParameterError(f"standard_basis needs a dimension in [1, 1024], got {d}")
         return _standard_basis(d)
     if family == "hadamard":
-        if d is None:
-            raise UnsupportedParameterError("hadamard needs a dimension")
         return _hadamard(d, spec.subset or "full")
-    if family == "mub":
-        if d is None:
-            raise UnsupportedParameterError("mub needs a dimension")
-        return _mub(d)
-    if family == "maroney":
-        if d is None:
-            raise UnsupportedParameterError("maroney needs a dimension")
-        return _maroney(d)
-    if family == "sic":
-        if d is None:
-            raise UnsupportedParameterError("sic needs a dimension")
-        return _sic(d)
-    raise UnsupportedParameterError(f"unknown state family {family!r}")
+    return {"mub": _mub, "maroney": _maroney, "sic": _sic}[family](d)
 
 
 def generate_scenario(name: str, n: int | None = None) -> Scenario:
-    """The abstract scenarios used throughout: verbatim structures."""
-    if name == "classical":
+    """The abstract scenarios used throughout: verbatim structures.  Only
+    the two classical scenarios take (and need) an outcome count `n`."""
+    if name in ("classical", "partial_classical"):
         if n is None or not 1 <= n <= 4096:
-            raise UnsupportedParameterError(f"classical scenario needs n in [1, 4096], got {n}")
+            raise UnsupportedParameterError(f"{name} scenario needs n in [1, 4096], got {n}")
         labels = [f"x{i + 1}" for i in range(n)]
-        return make_scenario(labels, [labels], [])
-    if name == "partial_classical":
-        if n is None or not 1 <= n <= 4096:
-            raise UnsupportedParameterError(f"partial_classical scenario needs n in [1, 4096], got {n}")
-        labels = [f"x{i + 1}" for i in range(n)]
-        return make_scenario(labels, [], [labels])
+        return make_scenario(labels, [labels], []) if name == "classical" else make_scenario(labels, [], [labels])
+    if name not in SCENARIO_NAMES:
+        raise UnsupportedParameterError(f"unknown scenario name {name!r}")
+    if n is not None:
+        raise UnsupportedParameterError(f"{name} scenario takes no n, got {n}")
     if name == "specker":
         return make_scenario(["a", "b", "c"], [["a", "b"], ["b", "c"], ["c", "a"]], [])
     if name == "antidist_example":
@@ -287,4 +288,3 @@ def generate_scenario(name: str, n: int | None = None) -> Scenario:
             ],
             [],
         )
-    raise UnsupportedParameterError(f"unknown scenario name {name!r}")

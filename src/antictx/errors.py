@@ -1,6 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the node budget that
+every search spends before it raises ResourceLimitError."""
 
 from __future__ import annotations
+
+DEFAULT_NODE_BUDGET = 10**8
 
 
 class AntictxError(Exception):
@@ -33,7 +36,27 @@ class NotAStateError(AntictxError):
 
 
 class ResourceLimitError(AntictxError):
-    """The enumeration exceeded its configured search-node budget."""
+    """A search spent its whole node budget; raised only by NodeBudget."""
+
+
+class NodeBudget:
+    """The nodes one search may still spend.
+
+    `None` means DEFAULT_NODE_BUDGET, read when the budget is made.  Each
+    search names itself and charges its own unit of work; the charge that
+    takes the spend past the limit raises ResourceLimitError.
+    """
+
+    __slots__ = ("limit", "left", "search")
+
+    def __init__(self, node_budget: int | None, search: str):
+        self.limit = self.left = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+        self.search = search
+
+    def charge(self, nodes: int) -> None:
+        self.left -= nodes
+        if self.left < 0:
+            raise ResourceLimitError(f"{self.search} exceeded {self.limit} nodes")
 
 
 class DimensionMismatchError(AntictxError):

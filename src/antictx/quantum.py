@@ -236,7 +236,8 @@ def scenario_from_states(states: PureStateSet, tol: float = TOLERANCE) -> Scenar
     set.  Raises DuplicateRayError when two states coincide up to phase and
     ToleranceAmbiguityError when any overlap falls in (tol, 10*tol), where
     the orthogonality cut would be unsafe, or when more than d states come
-    out mutually orthogonal.
+    out mutually orthogonal.  The clique search stops with
+    ResourceLimitError past the default node budget of 10^8.
     """
     if states.dimension < 2:
         raise ValueError("scenario generation needs dimension >= 2")
@@ -314,8 +315,9 @@ def load_states(source: bytes | str | IO, tol: float = TOLERANCE) -> PureStateSe
 
 def load_density(source: bytes | str | IO, tol: float = TOLERANCE) -> DensityOperator:
     """Parse {"matrix": [[[re, im], ...], ...]}, a d x d density matrix."""
-    rows = read_document(source).get("matrix")
-    if not isinstance(rows, list) or not rows:
+    doc = read_document(source)
+    rows = doc.get("matrix")
+    if set(doc) != {"matrix"} or not isinstance(rows, list) or not rows:
         raise ScenarioParseError('density document must be {"matrix": [[[re, im], ...], ...]}')
     d = len(rows)
     matrix = np.array([_complex_pairs(row, d, f"density matrix row {i}") for i, row in enumerate(rows)])

@@ -372,16 +372,12 @@ def build_state_polytope(s: Scenario) -> LinearProgram:
     labels = s.outcomes
     index = {a: j for j, a in enumerate(labels)}
     rows = []
-    for members in s.contexts:
-        coeffs = [_ZERO] * len(labels)
-        for a in members:
-            coeffs[index[a]] = _ONE
-        rows.append((tuple(coeffs), EQ, _ONE))
-    for members in s.partial_contexts:
-        coeffs = [_ZERO] * len(labels)
-        for a in members:
-            coeffs[index[a]] = _ONE
-        rows.append((tuple(coeffs), LE, _ONE))
+    for family, rel in ((s.contexts, EQ), (s.partial_contexts, LE)):
+        for members in family:
+            coeffs = [_ZERO] * len(labels)
+            for a in members:
+                coeffs[index[a]] = _ONE
+            rows.append((tuple(coeffs), rel, _ONE))
     return LinearProgram(
         variables=labels,
         objective=tuple([_ZERO] * len(labels)),

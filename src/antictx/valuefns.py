@@ -46,9 +46,10 @@ from typing import Iterable, Mapping, NamedTuple
 
 from . import ratlp
 from .errors import (
+    DEFAULT_NODE_BUDGET,
     EmptyPolytopeError,
+    NodeBudget,
     NotAStateError,
-    ResourceLimitError,
     ScenarioParseError,
     UnknownLabelError,
 )
@@ -69,8 +70,6 @@ __all__ = [
     "brute_force_antiset_bound",
     "parse_state_json",
 ]
-
-DEFAULT_NODE_BUDGET = 10**8
 
 
 class ValueFunction(NamedTuple):
@@ -136,23 +135,7 @@ class MembershipVerdict:
         return self.status == "member"
 
 
-class _Budget:
-    """The nodes one question may still spend, shared by the searches of its
-    components and by the assembly of their product."""
-
-    __slots__ = ("limit", "left", "search")
-
-    def __init__(self, node_budget: int | None, search: str = "value-function search"):
-        self.limit = self.left = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-        self.search = search
-
-    def charge(self, nodes: int) -> None:
-        self.left -= nodes
-        if self.left < 0:
-            raise ResourceLimitError(f"{self.search} exceeded {self.limit} nodes")
-
-
-def _components(s: Scenario, budget: _Budget, forced=(), gains=None):
+def _components(s: Scenario, budget: NodeBudget, forced=(), gains=None):
     """Yield one leaf generator per connected component of the (partial-)
     context hypergraph of `s` (see `_search`); the outcomes in no set form
     one more component."""
@@ -184,7 +167,7 @@ def _components(s: Scenario, budget: _Budget, forced=(), gains=None):
         )
 
 
-def _search(outcomes: int, contexts: list[int], zeroed, gain, budget: _Budget, forced: int):
+def _search(outcomes: int, contexts: list[int], zeroed, gain, budget: NodeBudget, forced: int):
     """Yield (ones, weight) for each assignment of the component `outcomes`
     that gives every context in it one 1 and sets `forced` to 1: the mask of
     its 1s and the sum of their integer gains."""
@@ -233,7 +216,7 @@ def _search(outcomes: int, contexts: list[int], zeroed, gain, budget: _Budget, f
             stack.append((ones | b, zeros | zeroed[b], weight + gain[b], still_open))
 
 
-def _completions(ones, weight, free, zeroed, gain, budget: _Budget) -> list[tuple[int, int]]:
+def _completions(ones, weight, free, zeroed, gain, budget: NodeBudget) -> list[tuple[int, int]]:
     """(ones, weight) for each way of adding 1s from `free` to `ones` with no
     two sharing a (partial) context: a list doubling through `free`, lowest
     bit first, one node charged per mask built."""
@@ -251,7 +234,7 @@ def _completions(ones, weight, free, zeroed, gain, budget: _Budget) -> list[tupl
 def _masks(s: Scenario, node_budget, forced=()) -> list[int]:
     """The sorted masks of the value functions setting `forced` to 1: the
     product of the components' masks, one node charged per mask built."""
-    budget = _Budget(node_budget)
+    budget = NodeBudget(node_budget, "value-function search")
     factors = []
     for leaves in _components(s, budget, forced):
         found = sorted(ones for ones, _ in leaves)
@@ -291,7 +274,7 @@ def _best(s: Scenario, gains: Mapping[str, int], node_budget):
     components, and maxima and first maximizers add up, since components
     share no outcome."""
     count, best, best_ones = 1, 0, 0
-    for leaves in _components(s, _Budget(node_budget), gains=gains):
+    for leaves in _components(s, NodeBudget(node_budget, "value-function search"), gains=gains):
         part_count, part_best, part_ones = 0, None, 0
         for ones, weight in leaves:
             part_count += 1
@@ -318,7 +301,7 @@ def count_value_functions(s: Scenario, *, node_budget: int | None = None) -> int
     """The number of value functions, without building them: the product
     of the components' counts."""
     count = 1
-    for leaves in _components(s, _Budget(node_budget)):
+    for leaves in _components(s, NodeBudget(node_budget, "value-function search")):
         count *= sum(1 for _ in leaves)
         if not count:
             break

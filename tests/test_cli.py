@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from antictx import cli, ensembles, quantum
 from antictx.cli import dispatch
 from antictx.ensembles import FamilySpec
@@ -457,6 +459,33 @@ def test_generate_rejects_bad_parameters():
     assert dispatch(["generate", "unknown_family"]).exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["klyachko", "--d", "7"],  # a scenario takes no dimension
+        ["classical", "--n", "3", "--d", "3"],
+        ["specker", "--subset", "B0"],  # nor a subset
+        ["caves_example", "--subset", "B1", "--n", "4"],
+        ["mub", "--d", "5", "--subset", "B0"],  # only hadamard takes a subset
+        ["standard_basis", "--d", "3", "--subset", "full"],
+        ["yu_oh_rays", "--d", "3"],  # a fixed family takes no dimension
+        ["caves_example", "--d", "3"],
+        ["mub", "--d", "5", "--n", "2"],  # a state family takes no --n
+        ["yu_oh_principal", "--n", "3"],
+        ["specker", "--n", "3"],  # only the classical scenarios take --n
+    ],
+)
+def test_generate_rejects_flags_its_family_does_not_take(argv):
+    assert dispatch(["generate", *argv]).exit_code == 2
+
+
+def test_generate_needs_the_dimension_of_a_sized_family():
+    for family in ("standard_basis", "hadamard", "mub", "maroney", "sic"):
+        result = dispatch(["generate", family])
+        assert result.exit_code == 2
+        assert result.payload["message"] == f"{family} needs a dimension"
+
+
 def test_json_and_text_report_identical_numbers(fixtures_dir, capsys):
     argv = ["classical-bound", fx(fixtures_dir, "klyachko.json"), "--coeffs", "ones"]
     code = cli.main(argv + ["--format", "json"])
@@ -593,6 +622,15 @@ def test_density_document_must_be_a_matrix_of_pairs(fixtures_dir, tmp_path):
     assert result.exit_code == 2
     ragged = {"matrix": [[[1, 0], [0, 0]], [[0, 0]]]}
     assert dispatch(_evaluate_argv(fixtures_dir, tmp_path, vectors, ragged)).exit_code == 2
+
+
+def test_density_document_rejects_unknown_keys(fixtures_dir, tmp_path):
+    vectors = fx(fixtures_dir, "yu_oh_all.json")
+    mixed = [[[1 / 3 if i == j else 0, 0] for j in range(3)] for i in range(3)]
+    assert dispatch(_evaluate_argv(fixtures_dir, tmp_path, vectors, {"matrix": mixed})).exit_code == 1
+    result = dispatch(_evaluate_argv(fixtures_dir, tmp_path, vectors, {"matrix": mixed, "rho_typo": 1}))
+    assert result.exit_code == 2
+    assert result.payload["error"] == "ScenarioParseError"
 
 
 def _unit_pairs(d, norm=1.0):

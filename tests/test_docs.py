@@ -1,0 +1,12 @@
+"""The README's library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def test_readme_library_example_runs():
+    section = README.read_text().split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md (Library example)", "exec"), {})
