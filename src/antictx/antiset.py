@@ -390,24 +390,28 @@ def inequality_to_json(ineq: NoncontextualityInequality) -> bytes:
 
 
 def load_inequality(source: bytes | str | IO) -> NoncontextualityInequality:
+    """Read an inequality document; its kind follows from its side constraints."""
     doc = read_document(source)
     expected = {"coefficients", "bound", "kind", "side_constraints", "provenance"}
     if set(doc) - expected:
         raise ScenarioParseError(f"inequality document keys must be within {sorted(expected)}")
     try:
-        coefficients = tuple(
-            sorted((a, parse_rational(c)) for a, c in doc["coefficients"].items())
-        )
-        side = tuple(
-            (entry["label"], parse_rational(entry["value"]))
-            for entry in doc.get("side_constraints", [])
-        )
-        return NoncontextualityInequality(
-            coefficients=coefficients,
-            bound=parse_rational(doc["bound"]),
-            kind=doc.get("kind", "state-dependent" if side else "state-independent"),
-            side_constraints=side,
-            provenance=doc.get("provenance", ""),
+        ineq = _with_kind(
+            {a: parse_rational(c) for a, c in doc["coefficients"].items()},
+            parse_rational(doc["bound"]),
+            tuple(
+                (entry["label"], parse_rational(entry["value"]))
+                for entry in doc.get("side_constraints", [])
+            ),
+            doc.get("provenance", ""),
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ScenarioParseError(f"malformed inequality document: {exc}") from exc
+    labels = [label for label, _ in ineq.side_constraints]
+    if not all(isinstance(x, str) for x in [*labels, ineq.provenance]):
+        raise ScenarioParseError("side-constraint labels and provenance must be strings")
+    if doc.get("kind", ineq.kind) != ineq.kind:
+        raise ScenarioParseError(
+            f"kind {doc['kind']!r} disagrees with the side constraints, which make it {ineq.kind!r}"
+        )
+    return ineq

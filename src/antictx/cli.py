@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 negative verdict (not antidistinguishable, not a
 member, inequality not violated, validation failed, ...), 2 usage or input
-errors, 3 resource limits.  Global flags (--tolerance, --format,
---node-budget) may be given before or after the subcommand.
+errors, 3 resource limits.  --format may be given before or after the
+command; --tolerance and --node-budget come after it, and only on the
+commands whose checks and searches they reach.  Each command takes exactly
+the flags its handler reads, so a stray, missing or malformed flag is an
+argparse usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -60,7 +63,9 @@ def _kv_text(payload, indent: int = 0) -> str:
         return "\n".join(lines)
     if isinstance(payload, list):
         return "\n".join(
-            _kv_text(item, indent) if isinstance(item, (dict, list)) else f"{pad}- {item}"
+            _kv_text(item, indent) if isinstance(item, dict)
+            else f"{pad}-\n{_kv_text(item, indent + 1)}" if isinstance(item, list)
+            else f"{pad}- {item}"
             for item in payload
         )
     return f"{pad}{payload}"
@@ -84,8 +89,9 @@ def _parse_rho(spec: str | None, states: quantum.PureStateSet, tol: float) -> De
 
 
 def _findings(findings) -> list[dict]:
-    # list(...): as text, _kv_text would print a tuple as its repr
-    return [{"rule": f.rule, "subjects": list(f.subjects)} for f in findings]
+    # lists, also for nested subjects: as text, _kv_text would print a tuple as its repr
+    return [{"rule": f.rule, "subjects": [list(s) if isinstance(s, tuple) else s for s in f.subjects]}
+            for f in findings]
 
 
 def _document(blob: bytes) -> CommandResult:
@@ -97,7 +103,7 @@ def _document(blob: bytes) -> CommandResult:
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_validate(args, ctx) -> CommandResult:
+def _cmd_validate(args) -> CommandResult:
     candidate = scenario.parse_scenario(_read(args.scenario))
     report = scenario.validate_scenario(candidate)
     payload = {
@@ -108,22 +114,21 @@ def _cmd_validate(args, ctx) -> CommandResult:
     return CommandResult(EXIT_OK if report.valid else EXIT_NEGATIVE, payload)
 
 
-def _cmd_value_functions(args, ctx) -> CommandResult:
+def _cmd_value_functions(args) -> CommandResult:
     s = scenario.load_scenario(_read(args.scenario))
-    budget = ctx["node_budget"]
     if args.count_only:
-        count = valuefns.count_value_functions(s, node_budget=budget)
+        count = valuefns.count_value_functions(s, node_budget=args.node_budget)
         return CommandResult(EXIT_OK, {"count": count})
-    vfs = valuefns.enumerate_value_functions(s, node_budget=budget)
+    vfs = valuefns.enumerate_value_functions(s, node_budget=args.node_budget)
     payload = {"count": len(vfs), "value_functions": [vf.assignment for vf in vfs]}
     return CommandResult(EXIT_OK, payload)
 
 
-def _cmd_classical_bound(args, ctx) -> CommandResult:
+def _cmd_classical_bound(args) -> CommandResult:
     s = scenario.load_scenario(_read(args.scenario))
     coeffs = _parse_coeffs(args.coeffs, s.outcomes)
     try:
-        result = valuefns.classical_bound(s, coeffs, node_budget=ctx["node_budget"])
+        result = valuefns.classical_bound(s, coeffs, node_budget=args.node_budget)
     except EmptyPolytopeError as exc:
         return CommandResult(EXIT_NEGATIVE, {"error": "empty-polytope", "message": str(exc)})
     payload = {
@@ -134,7 +139,7 @@ def _cmd_classical_bound(args, ctx) -> CommandResult:
     return CommandResult(EXIT_OK, payload)
 
 
-def _cmd_state_bound(args, ctx) -> CommandResult:
+def _cmd_state_bound(args) -> CommandResult:
     s = scenario.load_scenario(_read(args.scenario))
     coeffs = _parse_coeffs(args.coeffs, s.outcomes)
     result = ratlp.state_optimize(s, coeffs)
@@ -146,10 +151,10 @@ def _cmd_state_bound(args, ctx) -> CommandResult:
     return CommandResult(EXIT_NEGATIVE, payload)
 
 
-def _cmd_membership(args, ctx) -> CommandResult:
+def _cmd_membership(args) -> CommandResult:
     s = scenario.load_scenario(_read(args.scenario))
     state = valuefns.parse_state_json(scenario.read_document(_read(args.state)))
-    verdict = valuefns.is_noncontextual_state(s, state, node_budget=ctx["node_budget"])
+    verdict = valuefns.is_noncontextual_state(s, state, node_budget=args.node_budget)
     if verdict.is_member:
         weights = [
             {"support": list(vf.support()), "weight": format_rational(p)}
@@ -159,36 +164,25 @@ def _cmd_membership(args, ctx) -> CommandResult:
     return CommandResult(EXIT_NEGATIVE, {"member": False, "reason": verdict.status})
 
 
-def _cmd_quantum_scenario(args, ctx) -> CommandResult:
-    states = quantum.load_states(_read(args.vectors), ctx["tolerance"])
-    return _document(scenario.save_scenario(quantum.scenario_from_states(states, ctx["tolerance"])))
+def _cmd_quantum_scenario(args) -> CommandResult:
+    states = quantum.load_states(_read(args.vectors), args.tolerance)
+    return _document(scenario.save_scenario(quantum.scenario_from_states(states, args.tolerance)))
 
 
-def _cmd_check_anti(args, ctx) -> CommandResult:
-    tol = ctx["tolerance"]
-    modes = [bool(args.overlaps), bool(args.vectors), bool(args.certificate)]
-    if sum(modes) != 1:
-        raise scenario.ScenarioParseError(
-            "choose exactly one of --overlaps, --vectors/--triple, --certificate"
-        )
-    if args.certificate:
+def _cmd_check_anti(args) -> CommandResult:
+    tol = args.tolerance
+    if (args.vectors is None) != (args.triple is None):
+        raise scenario.ScenarioParseError("--vectors and --triple must be given together")
+    if args.certificate is not None:
         targets, cert = antidist.load_certificate(_read(args.certificate), tol)
         report = antidist.verify_certificate(targets, cert, tol)
         return CommandResult(EXIT_OK if report.valid else EXIT_NEGATIVE, asdict(report))
-    if args.overlaps:
-        parts = args.overlaps.split(",")
-        if len(parts) != 3:
-            raise scenario.ScenarioParseError("--overlaps needs three comma-separated values")
-        x = antidist.TripleOverlaps(*(float(parse_rational(p)) for p in parts), tol)
+    if args.overlaps is not None:
+        x = antidist.TripleOverlaps(*(float(parse_rational(p)) for p in args.overlaps), tol)
         extra = {}
     else:
-        if not args.triple:
-            raise scenario.ScenarioParseError("--vectors requires --triple a,b,c")
-        labels = args.triple.split(",")
-        if len(labels) != 3:
-            raise scenario.ScenarioParseError("--triple needs three comma-separated labels")
         states = quantum.load_states(_read(args.vectors), tol)
-        x = antidist.TripleOverlaps.from_states(states, *labels, tol=tol)
+        x = antidist.TripleOverlaps.from_states(states, *args.triple, tol=tol)
         extra = {"overlaps": [x.x1, x.x2, x.x3]}
     verdict = antidist.triple_antidistinguishable(x, tol)
     payload = {**asdict(verdict), **extra, "sufficient_condition": antidist.corollary_check(x, tol)}
@@ -205,69 +199,60 @@ def _antiset_payload(aset: antiset.PairwiseAntiset) -> dict:
     }
 
 
-def _require(args, names: list[str]) -> None:
-    missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n, None) is None]
-    if missing:
-        raise scenario.ScenarioParseError(f"missing required options: {', '.join(missing)}")
-
-
-def _verify_antiset(args, ctx) -> antiset.PairwiseAntiset:
-    _require(args, ["vectors", "members", "principal"])
-    states = quantum.load_states(_read(args.vectors), ctx["tolerance"])
+def _verify_antiset(args) -> antiset.PairwiseAntiset:
+    states = quantum.load_states(_read(args.vectors), args.tolerance)
     members = args.members.split(",")
     principal = args.principal.split(",")
     if len(principal) == 1:
-        return antiset.verify_weak_antiset(states, members, principal[0], ctx["tolerance"])
-    return antiset.verify_strong_antiset(states, members, principal, ctx["tolerance"])
+        return antiset.verify_weak_antiset(states, members, principal[0], args.tolerance)
+    return antiset.verify_strong_antiset(states, members, principal, args.tolerance)
 
 
-def _cmd_antiset(args, ctx) -> CommandResult:
-    if args.action == "verify":
-        try:
-            aset = _verify_antiset(args, ctx)
-        except FailedTripleError as exc:
-            return CommandResult(EXIT_NEGATIVE, {"verified": False, "failed_triple": list(exc.triple),
-                                                 **asdict(exc.verdict)})
-        return CommandResult(EXIT_OK, {"verified": True, **_antiset_payload(aset)})
-    states = quantum.load_states(_read(args.vectors), ctx["tolerance"])
+def _cmd_antiset_verify(args) -> CommandResult:
+    try:
+        aset = _verify_antiset(args)
+    except FailedTripleError as exc:
+        return CommandResult(EXIT_NEGATIVE, {"verified": False, "failed_triple": list(exc.triple),
+                                             **asdict(exc.verdict)})
+    return CommandResult(EXIT_OK, {"verified": True, **_antiset_payload(aset)})
+
+
+def _cmd_antiset_find(args) -> CommandResult:
+    states = quantum.load_states(_read(args.vectors), args.tolerance)
     found = antiset.find_strong_antisets(
-        states, args.members.split(","), args.principal.split(","), ctx["tolerance"],
-        node_budget=ctx["node_budget"],
+        states, args.members.split(","), args.principal.split(","), args.tolerance,
+        node_budget=args.node_budget,
     )
     return CommandResult(EXIT_OK, {"antisets": [_antiset_payload(a) for a in found]})
 
 
-def _cmd_inequality(args, ctx) -> CommandResult:
-    if args.action == "emit":
-        aset = _verify_antiset(args, ctx)
-        return _document(antiset.inequality_to_json(antiset.inequality_from_antiset(aset)))
-    if args.action == "augment":
-        _require(args, ["ineq"])
-        ineq = antiset.load_inequality(_read(args.ineq))
-        chosen = (args.add_inequality, args.add_context, args.add_outcome)
-        if sum(x is not None for x in chosen) != 1:
-            raise scenario.ScenarioParseError(
-                "choose exactly one of --add-inequality, --add-context, --add-outcome"
-            )
-        if args.add_inequality:
-            other = antiset.load_inequality(_read(args.add_inequality))
-            ineq = antiset.add_inequality(ineq, other)
-        elif args.add_context:
-            ineq = antiset.add_context_normalization(ineq, args.add_context.split(","))
-        else:
-            ineq = antiset.add_constrained_outcome(ineq, args.add_outcome)
-        return _document(antiset.inequality_to_json(ineq))
-    # evaluate
-    _require(args, ["ineq", "vectors"])
+def _cmd_inequality_emit(args) -> CommandResult:
+    aset = _verify_antiset(args)
+    return _document(antiset.inequality_to_json(antiset.inequality_from_antiset(aset)))
+
+
+def _cmd_inequality_augment(args) -> CommandResult:
     ineq = antiset.load_inequality(_read(args.ineq))
-    states = quantum.load_states(_read(args.vectors), ctx["tolerance"])
-    rho = _parse_rho(args.rho, states, ctx["tolerance"])
-    report = antiset.evaluate_inequality(ineq, states, rho, ctx["tolerance"])
+    if args.add_inequality:
+        other = antiset.load_inequality(_read(args.add_inequality))
+        ineq = antiset.add_inequality(ineq, other)
+    elif args.add_context:
+        ineq = antiset.add_context_normalization(ineq, args.add_context.split(","))
+    else:
+        ineq = antiset.add_constrained_outcome(ineq, args.add_outcome)
+    return _document(antiset.inequality_to_json(ineq))
+
+
+def _cmd_inequality_evaluate(args) -> CommandResult:
+    ineq = antiset.load_inequality(_read(args.ineq))
+    states = quantum.load_states(_read(args.vectors), args.tolerance)
+    rho = _parse_rho(args.rho, states, args.tolerance)
+    report = antiset.evaluate_inequality(ineq, states, rho, args.tolerance)
     payload = {**asdict(report), "bound": format_rational(report.bound)}  # "bound" keeps its place
     return CommandResult(EXIT_OK if report.violated else EXIT_NEGATIVE, payload)
 
 
-def _cmd_generate(args, ctx) -> CommandResult:
+def _cmd_generate(args) -> CommandResult:
     name = args.family
     if name in ensembles.SCENARIO_NAMES:
         if args.d is not None or args.subset is not None:
@@ -278,8 +263,8 @@ def _cmd_generate(args, ctx) -> CommandResult:
     return _document(quantum.save_states(ensembles.generate_states(FamilySpec(name, args.d, args.subset))))
 
 
-def _cmd_reproduce(args, ctx) -> CommandResult:
-    rows = reproduce.table(ctx["tolerance"], ctx["node_budget"])
+def _cmd_reproduce(args) -> CommandResult:
+    rows = reproduce.table(args.tolerance, args.node_budget)
     exit_code = EXIT_OK if all(row["pass"] for row in rows) else EXIT_NEGATIVE
     return CommandResult(exit_code, rows, reproduce.render(rows))
 
@@ -303,103 +288,106 @@ def _node_budget(text: str) -> int:
     return int(text)
 
 
-def _common_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--tolerance", type=_tolerance, default=argparse.SUPPRESS)
-    parent.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
-    parent.add_argument("--node-budget", type=_node_budget, default=argparse.SUPPRESS)
-    return parent
+def _triple(text: str) -> list[str]:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"needs three comma-separated values, got {text}")
+    return parts
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parent = _common_parent()
-    parser = argparse.ArgumentParser(prog="antictx", parents=[parent], description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", parents=[parent], help="validate a scenario document")
-    p.add_argument("scenario")
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("value-functions", parents=[parent], help="enumerate value functions")
-    p.add_argument("scenario")
-    p.add_argument("--count-only", action="store_true")
-    p.set_defaults(handler=_cmd_value_functions)
-
-    p = sub.add_parser("classical-bound", parents=[parent], help="maximum over value functions")
-    p.add_argument("scenario")
-    p.add_argument("--coeffs", required=True, help="coefficients file, '-', or 'ones'")
-    p.set_defaults(handler=_cmd_classical_bound)
-
-    p = sub.add_parser("state-bound", parents=[parent], help="maximum over all states (exact LP)")
-    p.add_argument("scenario")
-    p.add_argument("--coeffs", required=True, help="coefficients file, '-', or 'ones'")
-    p.set_defaults(handler=_cmd_state_bound)
-
-    p = sub.add_parser("membership", parents=[parent], help="noncontextual-polytope membership")
-    p.add_argument("scenario")
-    p.add_argument("--state", required=True)
-    p.set_defaults(handler=_cmd_membership)
-
-    p = sub.add_parser("quantum-scenario", parents=[parent], help="scenario from a vector set")
-    p.add_argument("vectors")
-    p.set_defaults(handler=_cmd_quantum_scenario)
-
-    p = sub.add_parser("check-anti", parents=[parent], help="antidistinguishability checks")
-    p.add_argument("--overlaps", help="x1,x2,x3 squared overlaps")
-    p.add_argument("--vectors", help="vector-set file")
-    p.add_argument("--triple", help="a,b,c labels (with --vectors)")
-    p.add_argument("--certificate", help="certificate file")
-    p.set_defaults(handler=_cmd_check_anti)
-
-    p = sub.add_parser("antiset", parents=[parent], help="verify or search pairwise antisets")
-    p.add_argument("action", choices=("verify", "find"))
-    p.add_argument("vectors")
-    p.add_argument("--members", required=True, help="comma-separated labels")
-    p.add_argument(
+    fmt = argparse.ArgumentParser(add_help=False)  # after the command, SUPPRESS keeps an earlier --format
+    fmt.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tolerance", type=_tolerance, default=quantum.TOLERANCE)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--node-budget", type=_node_budget, default=None)
+    pair = argparse.ArgumentParser(add_help=False)  # an antiset: its members and principal
+    pair.add_argument("--members", required=True, help="comma-separated labels")
+    pair.add_argument(
         "--principal",
         required=True,
         help="comma-separated basis labels (strong) or one label (weak)",
     )
-    p.set_defaults(handler=_cmd_antiset)
 
-    p = sub.add_parser("inequality", parents=[parent], help="emit, augment, evaluate inequalities")
-    p.add_argument("action", choices=("emit", "augment", "evaluate"))
-    p.add_argument("--vectors", help="vector-set file (emit, evaluate)")
-    p.add_argument("--members", help="comma-separated labels (emit)")
-    p.add_argument("--principal", help="principal context/outcome (emit)")
-    p.add_argument("--ineq", help="inequality file (augment, evaluate)")
-    p.add_argument("--add-inequality", help="other inequality file")
-    p.add_argument("--add-context", help="comma-separated context labels")
-    p.add_argument("--add-outcome", help="side-constrained outcome label")
-    p.add_argument("--rho", help="'mixed', 'label:<name>', or a density-matrix file")
-    p.set_defaults(handler=_cmd_inequality)
+    parser = argparse.ArgumentParser(prog="antictx", description=__doc__)
+    parser.add_argument("--format", choices=("json", "text"), default="text")
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[parent], help="emit a state family or scenario")
+    def command(name, handler, help, *parents, within=sub):
+        p = within.add_parser(name, parents=[fmt, *parents], help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("validate", _cmd_validate, "validate a scenario document")
+    p.add_argument("scenario")
+
+    p = command("value-functions", _cmd_value_functions, "enumerate value functions", budget)
+    p.add_argument("scenario")
+    p.add_argument("--count-only", action="store_true")
+
+    p = command("classical-bound", _cmd_classical_bound, "maximum over value functions", budget)
+    p.add_argument("scenario")
+    p.add_argument("--coeffs", required=True, help="coefficients file, '-', or 'ones'")
+
+    p = command("state-bound", _cmd_state_bound, "maximum over all states (exact LP)")
+    p.add_argument("scenario")
+    p.add_argument("--coeffs", required=True, help="coefficients file, '-', or 'ones'")
+
+    p = command("membership", _cmd_membership, "noncontextual-polytope membership", budget)
+    p.add_argument("scenario")
+    p.add_argument("--state", required=True)
+
+    p = command("quantum-scenario", _cmd_quantum_scenario, "scenario from a vector set", tol)
+    p.add_argument("vectors")
+
+    p = command("check-anti", _cmd_check_anti, "antidistinguishability checks", tol)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--overlaps", type=_triple, help="x1,x2,x3 squared overlaps")
+    mode.add_argument("--vectors", help="vector-set file (with --triple)")
+    mode.add_argument("--certificate", help="certificate file")
+    p.add_argument("--triple", type=_triple, help="a,b,c labels (with --vectors)")
+
+    p = sub.add_parser("antiset", parents=[fmt], help="verify or search pairwise antisets")
+    actions = p.add_subparsers(dest="action", required=True)
+    p = command("verify", _cmd_antiset_verify, "verify one antiset", tol, pair, within=actions)
+    p.add_argument("vectors")
+    p = command("find", _cmd_antiset_find, "maximal strong antisets", tol, budget, pair, within=actions)
+    p.add_argument("vectors")
+
+    p = sub.add_parser("inequality", parents=[fmt], help="emit, augment, evaluate inequalities")
+    actions = p.add_subparsers(dest="action", required=True)
+    p = command("emit", _cmd_inequality_emit, "inequality of a verified antiset", tol, pair, within=actions)
+    p.add_argument("--vectors", required=True, help="vector-set file")
+    p = command("augment", _cmd_inequality_augment, "extend an inequality", within=actions)
+    p.add_argument("--ineq", required=True, help="inequality file")
+    addition = p.add_mutually_exclusive_group(required=True)
+    addition.add_argument("--add-inequality", help="other inequality file")
+    addition.add_argument("--add-context", help="comma-separated context labels")
+    addition.add_argument("--add-outcome", help="side-constrained outcome label")
+    p = command("evaluate", _cmd_inequality_evaluate, "quantum value against the bound", tol, within=actions)
+    p.add_argument("--ineq", required=True, help="inequality file")
+    p.add_argument("--vectors", required=True, help="vector-set file")
+    p.add_argument("--rho", help="'mixed' (default), 'label:<name>', or a density-matrix file")
+
+    p = command("generate", _cmd_generate, "emit a state family or scenario")
     p.add_argument("family", help="family or scenario name")
     p.add_argument("--d", type=int, default=None, help="dimension")
     p.add_argument("--subset", choices=("B0", "B1", "full"), default=None)
     p.add_argument("--n", type=int, default=None, help="outcome count for classical scenarios")
-    p.set_defaults(handler=_cmd_generate)
 
-    p = sub.add_parser("reproduce", parents=[parent], help="recompute the headline numbers")
-    p.set_defaults(handler=_cmd_reproduce)
+    command("reproduce", _cmd_reproduce, "recompute the headline numbers", tol, budget)
 
     return parser
 
 
 def dispatch(argv: list[str]) -> CommandResult:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return CommandResult(exc.code if exc.code else EXIT_OK)
-    ctx = {
-        "tolerance": getattr(args, "tolerance", quantum.TOLERANCE),
-        "format": getattr(args, "format", "text"),
-        "node_budget": getattr(args, "node_budget", None),
-    }
     try:
-        result = args.handler(args, ctx)
+        result = args.handler(args)
     except ResourceLimitError as exc:
         result = CommandResult(EXIT_RESOURCE, {"error": "resource-limit", "message": str(exc)},
                                f"error: {exc}")
@@ -409,7 +397,7 @@ def dispatch(argv: list[str]) -> CommandResult:
     except (AntictxError, OSError, ValueError) as exc:
         result = CommandResult(EXIT_USAGE, {"error": type(exc).__name__, "message": str(exc)},
                                f"error: {exc}")
-    result.fmt = ctx["format"]
+    result.fmt = args.format
     return result
 
 

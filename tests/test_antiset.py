@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from antictx.errors import (
     MissingLabelError,
     NotABasisError,
     ResourceLimitError,
+    ScenarioParseError,
 )
 from antictx.quantum import DensityOperator, PureStateSet, scenario_from_states
 from antictx.ratlp import build_state_polytope, solve
@@ -565,3 +567,29 @@ def test_inequality_json_round_trip():
     aset = verify_weak_antiset(states, [f"a{j}" for j in range(1, 5)], "c")
     ineq = inequality_from_antiset(aset)
     assert load_inequality(inequality_to_json(ineq)) == ineq
+
+
+PINNED_C1 = [{"label": "c1", "value": "1"}]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"kind": "bogus"},
+        {"kind": 5},
+        {"provenance": [1]},
+        {"kind": "state-independent", "side_constraints": PINNED_C1},
+        {"kind": "state-dependent"},
+        {"side_constraints": [{"label": 5, "value": "1"}, {"label": "zz", "value": "1"}]},
+    ],
+)
+def test_load_inequality_rejects_a_kind_or_field_it_cannot_trust(fields):
+    doc = {"coefficients": {"a1": "1"}, "bound": "1", **fields}
+    with pytest.raises(ScenarioParseError):
+        load_inequality(json.dumps(doc))
+
+
+def test_load_inequality_derives_the_kind_from_the_side_constraints():
+    doc = {"coefficients": {"a1": "1"}, "bound": "1"}
+    assert load_inequality(json.dumps(doc)).kind == "state-independent"
+    assert load_inequality(json.dumps({**doc, "side_constraints": PINNED_C1})).kind == "state-dependent"

@@ -276,9 +276,90 @@ def test_antiset_verify_weak_single_principal(tmp_path):
     assert emitted.payload["side_constraints"] == [{"label": "c", "value": "1"}]
 
 
-def test_inequality_missing_options_are_usage_errors(fixtures_dir):
+def test_inequality_missing_options_are_usage_errors(fixtures_dir, tmp_path):
     assert dispatch(["inequality", "emit"]).exit_code == 2
     assert dispatch(["inequality", "evaluate", "--rho", "mixed"]).exit_code == 2
+    # augment takes exactly one addition; argparse says so, with no error payload
+    ineq = ["inequality", "augment", "--ineq", _write_json(tmp_path, "i.json", {"coefficients": {}, "bound": "1"})]
+    for argv in (ineq, ineq + ["--add-context", "c1", "--add-outcome", "c1"]):
+        result = dispatch(argv)
+        assert result.exit_code == 2 and result.payload is None
+
+
+# every command with a valid argv, and which of --tolerance and --node-budget it takes (the README table)
+GRAMMAR = [
+    (["validate", "s.json"], ()),
+    (["value-functions", "s.json"], ("--node-budget",)),
+    (["classical-bound", "s.json", "--coeffs", "ones"], ("--node-budget",)),
+    (["state-bound", "s.json", "--coeffs", "ones"], ()),
+    (["membership", "s.json", "--state", "p.json"], ("--node-budget",)),
+    (["quantum-scenario", "v.json"], ("--tolerance",)),
+    (["check-anti", "--overlaps", "0,0,0"], ("--tolerance",)),
+    (["antiset", "verify", "v.json", "--members", "a,b", "--principal", "c"], ("--tolerance",)),
+    (["antiset", "find", "v.json", "--members", "a,b", "--principal", "c"], ("--tolerance", "--node-budget")),
+    (["inequality", "emit", "--vectors", "v.json", "--members", "a,b", "--principal", "c"], ("--tolerance",)),
+    (["inequality", "augment", "--ineq", "i.json", "--add-outcome", "c"], ()),
+    (["inequality", "evaluate", "--ineq", "i.json", "--vectors", "v.json"], ("--tolerance",)),
+    (["generate", "klyachko"], ()),
+    (["reproduce"], ("--tolerance", "--node-budget")),
+]
+
+
+@pytest.mark.parametrize("flag, value, default", [("--tolerance", 0.5, quantum.TOLERANCE), ("--node-budget", 7, None)])
+@pytest.mark.parametrize("argv, flags", GRAMMAR, ids=[" ".join(argv[:2]) for argv, _ in GRAMMAR])
+def test_each_command_takes_only_the_flags_it_reads(argv, flags, flag, value, default, capsys):
+    parser = cli.build_parser()
+    dest = flag[2:].replace("-", "_")
+    if flag in flags:
+        assert getattr(parser.parse_args(argv), dest) == default
+        assert getattr(parser.parse_args(argv + [flag, str(value)]), dest) == value
+    else:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv + [flag, str(value)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state-bound", "{fx}/klyachko.json", "--coeffs", "ones", "--node-budget", "0"],
+        ["quantum-scenario", "{fx}/yu_oh_all.json", "--node-budget", "0"],
+        ["validate", "{fx}/klyachko.json", "--tolerance", "0.5"],
+        ["antiset", "verify", "{fx}/yu_oh_all.json", "--members", "a1,a2,a3,a4", "--principal", "c1,c2,c3",
+         "--node-budget", "0"],
+        ["inequality", "emit", "--vectors", "{fx}/yu_oh_all.json", "--members", "a1,a2,a3,a4",
+         "--principal", "c1,c2,c3", "--rho", "mixed", "--ineq", "x", "--add-context", "c1"],
+        ["check-anti", "--overlaps", "0.1,0.1,0.1", "--triple", "a,b,c"],
+        ["inequality", "augment", "--vectors", "x"],
+        ["--tolerance", "1e-6", "check-anti", "--overlaps", "0.1,0.1,0.1"],  # only after the command
+    ],
+)
+def test_stray_flags_are_usage_errors(argv, fixtures_dir):
+    assert dispatch([a.format(fx=fixtures_dir) for a in argv]).exit_code == 2
+
+
+def test_vectors_and_triple_go_together(fixtures_dir):
+    vectors = fx(fixtures_dir, "yu_oh_all.json")
+    for argv in (["--vectors", vectors], ["--triple", "a1,a2,c1"],
+                 ["--certificate", fx(fixtures_dir, "caves_certificate.json"), "--triple", "a1,a2,c1"]):
+        assert dispatch(["check-anti", *argv]).exit_code == 2
+
+
+def test_comma_triples_need_three_values(fixtures_dir, capsys):
+    vectors = fx(fixtures_dir, "yu_oh_all.json")
+    for flag, argv in (("--overlaps", ["--overlaps", "1,2"]), ("--triple", ["--vectors", vectors, "--triple", "1,2"])):
+        assert dispatch(["check-anti", *argv]).exit_code == 2
+        assert f"argument {flag}: needs three comma-separated values, got 1,2" in capsys.readouterr().err
+
+
+def test_format_goes_before_or_after_a_nested_command(fixtures_dir):
+    verify = [fx(fixtures_dir, "yu_oh_all.json"), "--members", "a1,a2", "--principal", "c1,c2,c3"]
+    j = ["--format", "json"]
+    for argv in ([*j, "antiset", "verify", *verify], ["antiset", *j, "verify", *verify],
+                 ["antiset", "verify", *verify, *j]):
+        result = dispatch(argv)
+        assert result.exit_code == 0 and result.fmt == "json"
 
 
 def test_antiset_find(fixtures_dir):
@@ -614,6 +695,14 @@ def _evaluate_argv(fixtures_dir, tmp_path, vectors, rho_doc):
     ineq = _write_json(tmp_path, "ineq.json", {"coefficients": {"a1": "1"}, "bound": "1"})
     rho = _write_json(tmp_path, "rho.json", rho_doc)
     return ["inequality", "evaluate", "--ineq", ineq, "--vectors", vectors, "--rho", rho]
+
+
+def test_non_string_side_constraint_label_is_usage_error(fixtures_dir, tmp_path):
+    side = [{"label": 5, "value": "1"}, {"label": "zz", "value": "1"}]
+    ineq = _write_json(tmp_path, "ineq.json", {"coefficients": {"a1": "1"}, "bound": "1", "side_constraints": side})
+    result = dispatch(["inequality", "evaluate", "--ineq", ineq, "--vectors", fx(fixtures_dir, "yu_oh_all.json")])
+    assert result.exit_code == 2
+    assert result.payload["error"] == "ScenarioParseError"
 
 
 def test_density_document_must_be_a_matrix_of_pairs(fixtures_dir, tmp_path):
