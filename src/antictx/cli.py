@@ -63,9 +63,7 @@ def _kv_text(payload, indent: int = 0) -> str:
         return "\n".join(lines)
     if isinstance(payload, list):
         return "\n".join(
-            _kv_text(item, indent) if isinstance(item, dict)
-            else f"{pad}-\n{_kv_text(item, indent + 1)}" if isinstance(item, list)
-            else f"{pad}- {item}"
+            f"{pad}-\n{_kv_text(item, indent + 1)}" if isinstance(item, (dict, list)) else f"{pad}- {item}"
             for item in payload
         )
     return f"{pad}{payload}"
@@ -74,10 +72,7 @@ def _kv_text(payload, indent: int = 0) -> str:
 def _parse_coeffs(arg: str, labels) -> dict[str, Fraction]:
     if arg == "ones":
         return {a: Fraction(1) for a in labels}
-    doc = scenario.read_document(_read(arg))
-    if set(doc) != {"coeffs"} or not isinstance(doc["coeffs"], dict):
-        raise scenario.ScenarioParseError('coefficients document must be {"coeffs": {label: value}}')
-    return {a: parse_rational(v) for a, v in doc["coeffs"].items()}
+    return valuefns._rationals(scenario.read_document(_read(arg)), "coeffs", "coefficients")
 
 
 def _parse_rho(spec: str | None, states: quantum.PureStateSet, tol: float) -> DensityOperator:
@@ -201,11 +196,9 @@ def _antiset_payload(aset: antiset.PairwiseAntiset) -> dict:
 
 def _verify_antiset(args) -> antiset.PairwiseAntiset:
     states = quantum.load_states(_read(args.vectors), args.tolerance)
-    members = args.members.split(",")
-    principal = args.principal.split(",")
-    if len(principal) == 1:
-        return antiset.verify_weak_antiset(states, members, principal[0], args.tolerance)
-    return antiset.verify_strong_antiset(states, members, principal, args.tolerance)
+    if len(args.principal) == 1:
+        return antiset.verify_weak_antiset(states, args.members, args.principal[0], args.tolerance)
+    return antiset.verify_strong_antiset(states, args.members, args.principal, args.tolerance)
 
 
 def _cmd_antiset_verify(args) -> CommandResult:
@@ -220,7 +213,7 @@ def _cmd_antiset_verify(args) -> CommandResult:
 def _cmd_antiset_find(args) -> CommandResult:
     states = quantum.load_states(_read(args.vectors), args.tolerance)
     found = antiset.find_strong_antisets(
-        states, args.members.split(","), args.principal.split(","), args.tolerance,
+        states, args.members, args.principal, args.tolerance,
         node_budget=args.node_budget,
     )
     return CommandResult(EXIT_OK, {"antisets": [_antiset_payload(a) for a in found]})
@@ -233,11 +226,11 @@ def _cmd_inequality_emit(args) -> CommandResult:
 
 def _cmd_inequality_augment(args) -> CommandResult:
     ineq = antiset.load_inequality(_read(args.ineq))
-    if args.add_inequality:
+    if args.add_inequality is not None:
         other = antiset.load_inequality(_read(args.add_inequality))
         ineq = antiset.add_inequality(ineq, other)
-    elif args.add_context:
-        ineq = antiset.add_context_normalization(ineq, args.add_context.split(","))
+    elif args.add_context is not None:
+        ineq = antiset.add_context_normalization(ineq, args.add_context)
     else:
         ineq = antiset.add_constrained_outcome(ineq, args.add_outcome)
     return _document(antiset.inequality_to_json(ineq))
@@ -288,6 +281,13 @@ def _node_budget(text: str) -> int:
     return int(text)
 
 
+def _labels(text: str) -> list[str]:
+    labels = text.split(",")
+    if "" in labels:  # labels are nonempty everywhere (the scenario rule label-empty)
+        raise argparse.ArgumentTypeError(f"needs nonempty comma-separated labels, got {text!r}")
+    return labels
+
+
 def _triple(text: str) -> list[str]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -303,12 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--node-budget", type=_node_budget, default=None)
     pair = argparse.ArgumentParser(add_help=False)  # an antiset: its members and principal
-    pair.add_argument("--members", required=True, help="comma-separated labels")
-    pair.add_argument(
-        "--principal",
-        required=True,
-        help="comma-separated basis labels (strong) or one label (weak)",
-    )
+    pair.add_argument("--members", type=_labels, required=True, help="comma-separated labels")
+    pair.add_argument("--principal", type=_labels, required=True,
+                      help="comma-separated basis labels (strong) or one label (weak)")
 
     parser = argparse.ArgumentParser(prog="antictx", description=__doc__)
     parser.add_argument("--format", choices=("json", "text"), default="text")
@@ -363,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ineq", required=True, help="inequality file")
     addition = p.add_mutually_exclusive_group(required=True)
     addition.add_argument("--add-inequality", help="other inequality file")
-    addition.add_argument("--add-context", help="comma-separated context labels")
+    addition.add_argument("--add-context", type=_labels, help="comma-separated context labels")
     addition.add_argument("--add-outcome", help="side-constrained outcome label")
     p = command("evaluate", _cmd_inequality_evaluate, "quantum value against the bound", tol, within=actions)
     p.add_argument("--ineq", required=True, help="inequality file")

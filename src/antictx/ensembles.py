@@ -10,14 +10,14 @@ State families
 - ``yu_oh_principal``: the standard basis of C^3 (labels c1..c3)
 - ``caves_example``: six states in C^3 whose orthogonality graph is the
   basic antidistinguishability scenario (a1..a3, a1_perp..a3_perp)
-- ``hadamard``: all sign vectors (+-1)/sqrt(d), labels are the binary
-  strings; subset B0/B1 restricts to strings starting with 0/1
-- ``mub``: d+1 mutually unbiased bases for prime d (standard basis plus
-  quadratic Gauss-sum bases for odd d, a hand-coded triple for d = 2)
-- ``maroney``: d-1 states sqrt(1/3)|0> + sqrt(2/3)|j> plus the principal
-  outcome c = |0>
-- ``sic``: symmetric informationally complete vectors, d in {2, 3}
-- ``standard_basis``: labels e1..ed
+- ``hadamard``, d in [2, 12]: all sign vectors (+-1)/sqrt(d), labels are the
+  binary strings; subset B0/B1 restricts to strings starting with 0/1
+- ``mub``, prime d in [2, 97]: d+1 mutually unbiased bases (standard basis
+  plus quadratic Gauss-sum bases for odd d, a hand-coded triple for d = 2)
+- ``maroney``, d in [3, 1024]: d-1 states sqrt(1/3)|0> + sqrt(2/3)|j> plus
+  the principal outcome c = |0>
+- ``sic``, d in [2, 3]: symmetric informationally complete vectors
+- ``standard_basis``, d in [1, 1024]: labels e1..ed
 """
 
 from __future__ import annotations
@@ -33,26 +33,6 @@ from .quantum import PureStateSet, _first_pair, frame_operator, gram
 from .scenario import Scenario, make_scenario
 
 __all__ = ["FamilySpec", "generate_states", "generate_scenario", "STATE_FAMILIES", "SCENARIO_NAMES"]
-
-STATE_FAMILIES = (
-    "yu_oh_rays",
-    "yu_oh_principal",
-    "caves_example",
-    "hadamard",
-    "mub",
-    "maroney",
-    "sic",
-    "standard_basis",
-)
-
-SCENARIO_NAMES = (
-    "classical",
-    "partial_classical",
-    "specker",
-    "antidist_example",
-    "klyachko",
-    "no_state_example",
-)
 
 
 @dataclass(frozen=True)
@@ -123,9 +103,7 @@ def _caves_example() -> PureStateSet:
     return states
 
 
-def _hadamard(d: int, subset: str) -> PureStateSet:
-    if not 2 <= d <= 12:  # 2^d states: d = 16 would need a 64 GiB Gram matrix
-        raise UnsupportedParameterError(f"hadamard needs a dimension in [2, 12], got {d}")
+def _hadamard(d: int, subset: str = "full") -> PureStateSet:
     if subset not in ("B0", "B1", "full"):
         raise UnsupportedParameterError(f"unknown hadamard subset {subset!r}")
     half = 2 ** (d - 1)
@@ -140,8 +118,8 @@ def _hadamard(d: int, subset: str) -> PureStateSet:
 
 
 def _mub(d: int) -> PureStateSet:
-    if not _is_prime(d) or d > 97:
-        raise UnsupportedParameterError(f"mub needs a prime dimension in [2, 97], got {d}")
+    if not _is_prime(d):
+        raise UnsupportedParameterError(f"mub needs a prime dimension, got {d}")
     pairs = []
     eye = np.eye(d, dtype=complex)
     for k in range(d):
@@ -169,8 +147,6 @@ def _mub(d: int) -> PureStateSet:
 
 
 def _maroney(d: int) -> PureStateSet:
-    if not 3 <= d <= 1024:  # d states of dimension d, checked on a d x d Gram matrix
-        raise UnsupportedParameterError(f"maroney needs a dimension in [3, 1024], got {d}")
     pairs = []
     for j in range(1, d):
         vec = np.zeros(d, dtype=complex)
@@ -195,8 +171,8 @@ def _sic(d: int) -> PureStateSet:
         for k in range(3):
             phase = cmath.exp(2j * cmath.pi * k / 3)
             pairs.append((f"a{k + 2}", [r, t * phase]))
-    elif d == 3:
-        # the Hesse configuration: (0, 1, -w^a)/sqrt(2) and its two cyclic
+    else:
+        # d = 3: the Hesse configuration: (0, 1, -w^a)/sqrt(2) and its two cyclic
         # coordinate shifts, w a primitive cube root of unity
         omega = cmath.exp(2j * cmath.pi / 3)
         r = 1 / math.sqrt(2)
@@ -208,8 +184,6 @@ def _sic(d: int) -> PureStateSet:
                 vec = [base[(j - shift) % 3] for j in range(3)]
                 idx += 1
                 pairs.append((f"a{idx}", vec))
-    else:
-        raise UnsupportedParameterError(f"sic vectors are available for d in {{2, 3}}, got {d}")
     states = PureStateSet.from_pairs(d, pairs)
     _check_overlaps(states, 1 / (d + 1), "sic")
     # resolution of the identity: sum of projectors equals d * I
@@ -219,37 +193,59 @@ def _sic(d: int) -> PureStateSet:
     return states
 
 
-_FIXED_FAMILIES = ("yu_oh_rays", "yu_oh_principal", "caves_example")
+# name -> (builder, (lowest, highest) dimension, or None for a fixed family)
+_FAMILIES = {
+    "yu_oh_rays": (_yu_oh_rays, None),
+    "yu_oh_principal": (lambda: _standard_basis(3, prefix="c"), None),
+    "caves_example": (_caves_example, None),
+    "hadamard": (_hadamard, (2, 12)),  # 2^d states: d = 16 would need a 64 GiB Gram matrix
+    "mub": (_mub, (2, 97)),  # and prime: checked in _mub
+    "maroney": (_maroney, (3, 1024)),  # d states of dimension d, checked on a d x d Gram matrix
+    "sic": (_sic, (2, 3)),
+    "standard_basis": (_standard_basis, (1, 1024)),  # a dense d x d complex matrix
+}
+
+# name -> (outcomes, contexts, partial contexts) of the scenarios that take no n
+_SCENARIOS = {
+    "specker": (("a", "b", "c"), (("a", "b"), ("b", "c"), ("c", "a")), ()),
+    "antidist_example": (
+        ("a1", "a2", "a3", "a1_perp", "a2_perp", "a3_perp"),
+        (("a1_perp", "a2_perp", "a3_perp"),),
+        (("a1", "a1_perp"), ("a2", "a2_perp"), ("a3", "a3_perp")),
+    ),
+    "klyachko": (tuple("01234"), (), tuple((str(i), str((i + 1) % 5)) for i in range(5))),
+    "no_state_example": (
+        ("a1", "a2", "a3", "b1", "b2", "b3"),
+        (("a1", "a2", "a3"), ("b1", "b2", "b3"), ("a1", "b1"), ("a2", "b2"), ("a3", "b3")),
+        (),
+    ),
+}
+
+STATE_FAMILIES = tuple(_FAMILIES)
+SCENARIO_NAMES = ("classical", "partial_classical", *_SCENARIOS)
 
 
 def generate_states(spec: FamilySpec) -> PureStateSet:
     """The states of one family.  The fixed families take no dimension, the
-    others need one, and only hadamard takes a subset; anything else raises
-    UnsupportedParameterError."""
+    others need one in their range, and only hadamard takes a subset;
+    anything else raises UnsupportedParameterError."""
     family = spec.family
     d = spec.dimension
-    if family not in STATE_FAMILIES:
+    if family not in _FAMILIES:
         raise UnsupportedParameterError(f"unknown state family {family!r}")
     if spec.subset is not None and family != "hadamard":
         raise UnsupportedParameterError(f"{family} takes no subset")
-    if family in _FIXED_FAMILIES:
+    builder, dimensions = _FAMILIES[family]
+    if dimensions is None:
         if d is not None:
             raise UnsupportedParameterError(f"{family} takes no dimension, got {d}")
-    elif d is None:
+        return builder()
+    if d is None:
         raise UnsupportedParameterError(f"{family} needs a dimension")
-    if family == "yu_oh_rays":
-        return _yu_oh_rays()
-    if family == "yu_oh_principal":
-        return _standard_basis(3, prefix="c")
-    if family == "caves_example":
-        return _caves_example()
-    if family == "standard_basis":
-        if not 1 <= d <= 1024:  # a dense d x d complex matrix
-            raise UnsupportedParameterError(f"standard_basis needs a dimension in [1, 1024], got {d}")
-        return _standard_basis(d)
-    if family == "hadamard":
-        return _hadamard(d, spec.subset or "full")
-    return {"mub": _mub, "maroney": _maroney, "sic": _sic}[family](d)
+    low, high = dimensions
+    if not low <= d <= high:
+        raise UnsupportedParameterError(f"{family} needs a dimension in [{low}, {high}], got {d}")
+    return builder(d) if spec.subset is None else builder(d, spec.subset)
 
 
 def generate_scenario(name: str, n: int | None = None) -> Scenario:
@@ -260,31 +256,8 @@ def generate_scenario(name: str, n: int | None = None) -> Scenario:
             raise UnsupportedParameterError(f"{name} scenario needs n in [1, 4096], got {n}")
         labels = [f"x{i + 1}" for i in range(n)]
         return make_scenario(labels, [labels], []) if name == "classical" else make_scenario(labels, [], [labels])
-    if name not in SCENARIO_NAMES:
+    if name not in _SCENARIOS:
         raise UnsupportedParameterError(f"unknown scenario name {name!r}")
     if n is not None:
         raise UnsupportedParameterError(f"{name} scenario takes no n, got {n}")
-    if name == "specker":
-        return make_scenario(["a", "b", "c"], [["a", "b"], ["b", "c"], ["c", "a"]], [])
-    if name == "antidist_example":
-        return make_scenario(
-            ["a1", "a2", "a3", "a1_perp", "a2_perp", "a3_perp"],
-            [["a1_perp", "a2_perp", "a3_perp"]],
-            [["a1", "a1_perp"], ["a2", "a2_perp"], ["a3", "a3_perp"]],
-        )
-    if name == "klyachko":
-        labels = [str(i) for i in range(5)]
-        cycle = [[str(i), str((i + 1) % 5)] for i in range(5)]
-        return make_scenario(labels, [], cycle)
-    if name == "no_state_example":
-        return make_scenario(
-            ["a1", "a2", "a3", "b1", "b2", "b3"],
-            [
-                ["a1", "a2", "a3"],
-                ["b1", "b2", "b3"],
-                ["a1", "b1"],
-                ["a2", "b2"],
-                ["a3", "b3"],
-            ],
-            [],
-        )
+    return make_scenario(*_SCENARIOS[name])

@@ -399,9 +399,9 @@ def brute_force_antiset_bound(
 ) -> Fraction:
     """Max number of `members` outcomes any single value function sets to 1.
 
-    This is the independent enumeration oracle for the antiset bound: for
-    scenarios that embed all the antidistinguishing contexts the result is
-    at most 1, but on bare scenarios it can be larger.
+    It runs the per-component search of `classical_bound` with unit gains
+    and builds no list.  For scenarios that embed all the antidistinguishing
+    contexts the result is at most 1, but on bare scenarios it can be larger.
     """
     wanted = set(members)
     check_labels(s.outcomes, wanted)
@@ -409,14 +409,20 @@ def brute_force_antiset_bound(
     return Fraction(best)
 
 
-def parse_state_json(doc) -> dict[str, Fraction]:
-    """Parse {"state": {label: "p/q" | number}} into exact rationals."""
-    if not isinstance(doc, dict) or set(doc) != {"state"} or not isinstance(doc["state"], dict):
-        raise ScenarioParseError('state document must be {"state": {label: value}}')
+def _rationals(doc, key: str, what: str) -> dict[str, Fraction]:
+    """Parse {key: {label: "p/q" | number}} into exact rationals; a bad value
+    raises ScenarioParseError naming its label, a bad shape names `what`."""
+    if not isinstance(doc, dict) or set(doc) != {key} or not isinstance(doc[key], dict):
+        raise ScenarioParseError(f'{what} document must be {{"{key}": {{label: value}}}}')
     out = {}
-    for label, value in doc["state"].items():
+    for label, value in doc[key].items():
         try:
             out[label] = parse_rational(value)
         except ValueError as exc:
             raise ScenarioParseError(f"bad rational for {label!r}: {value!r}") from exc
     return out
+
+
+def parse_state_json(doc) -> dict[str, Fraction]:
+    """Parse {"state": {label: "p/q" | number}} into exact rationals."""
+    return _rationals(doc, "state", "state")

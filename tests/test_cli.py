@@ -161,6 +161,16 @@ def test_membership_member(fixtures_dir):
     assert abs(total - 1) < 1e-9
 
 
+def test_membership_weights_as_text_are_one_entry_each(fixtures_dir, capsys):
+    argv = ["membership", fx(fixtures_dir, "antidist_example.json"),
+            "--state", fx(fixtures_dir, "example3_third_state.json")]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["member: True", "weights:", "  -"]
+    assert lines.count("  -") == 3
+    assert sum(line.startswith("    support:") for line in lines) == 3
+
+
 def test_membership_invalid_state_is_usage_error(fixtures_dir, tmp_path):
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"state": {str(i): "2/3" for i in range(5)}}))
@@ -284,6 +294,18 @@ def test_inequality_missing_options_are_usage_errors(fixtures_dir, tmp_path):
     for argv in (ineq, ineq + ["--add-context", "c1", "--add-outcome", "c1"]):
         result = dispatch(argv)
         assert result.exit_code == 2 and result.payload is None
+
+
+def test_augment_rejects_empty_additions(tmp_path):
+    doc = {"coefficients": {"a1": "1"}, "bound": "1"}
+    ineq = ["inequality", "augment", "--ineq", _write_json(tmp_path, "i.json", doc)]
+    for addition in (["--add-context", ""], ["--add-context", "c1,,c2"]):
+        result = dispatch(ineq + addition)
+        assert result.exit_code == 2 and result.payload is None  # an argparse usage error
+    result = dispatch(ineq + ["--add-inequality", ""])
+    assert result.exit_code == 2
+    assert result.payload["error"] == "FileNotFoundError"
+    assert "No such file or directory: ''" in result.payload["message"]
 
 
 # every command with a valid argv, and which of --tolerance and --node-budget it takes (the README table)
@@ -685,6 +707,13 @@ def test_zero_denominator_coefficient_is_usage_error(fixtures_dir, tmp_path):
     coeffs = _write_json(tmp_path, "c.json", {"coeffs": {"0": "1/0"}})
     result = dispatch(["classical-bound", fx(fixtures_dir, "klyachko.json"), "--coeffs", coeffs])
     assert result.exit_code == 2
+
+
+def test_bad_coefficient_is_a_parse_error_naming_its_label(fixtures_dir, tmp_path):
+    coeffs = _write_json(tmp_path, "c.json", {"coeffs": {"0": "1", "3": "x"}})
+    result = dispatch(["classical-bound", fx(fixtures_dir, "klyachko.json"), "--coeffs", coeffs])
+    assert result.exit_code == 2
+    assert result.payload == {"error": "ScenarioParseError", "message": "bad rational for '3': 'x'"}
 
 
 def test_zero_denominator_overlap_is_usage_error():

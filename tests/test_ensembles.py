@@ -58,6 +58,14 @@ def test_standard_basis_and_maroney_reject_dimension_1025_before_building(monkey
     for family, low in (("standard_basis", 1), ("maroney", 3)):
         with pytest.raises(UnsupportedParameterError, match=rf"\[{low}, 1024\], got 1025"):
             generate_states(FamilySpec(family, 1025))
+    # and every sized family just outside the range its table entry gives
+    for family, (_, dimensions) in ensembles._FAMILIES.items():
+        if dimensions is not None:
+            low, high = dimensions
+            for d in (low - 1, high + 1):
+                message = rf"^{family} needs a dimension in \[{low}, {high}\], got {d}$"
+                with pytest.raises(UnsupportedParameterError, match=message):
+                    generate_states(FamilySpec(family, d))
 
 
 def test_classical_scenarios_reject_n_4097_before_building(monkeypatch):
@@ -260,17 +268,8 @@ def test_scenario_generator_parameter_errors():
 
 
 def test_all_state_families_validate_through_scenario_generation():
-    # every family yields unit vectors that the quantum layer accepts
-    specs = [
-        FamilySpec("yu_oh_rays"),
-        FamilySpec("yu_oh_principal"),
-        FamilySpec("caves_example"),
-        FamilySpec("hadamard", 3, "B0"),
-        FamilySpec("mub", 3),
-        FamilySpec("maroney", 4),
-        FamilySpec("sic", 2),
-        FamilySpec("standard_basis", 4),
-    ]
-    for spec in specs:
-        states = generate_states(spec)
+    # every family of the table, at its lowest dimension, yields unit
+    # vectors that the quantum layer accepts
+    for family, (_, dimensions) in ensembles._FAMILIES.items():
+        states = generate_states(FamilySpec(family, dimensions and dimensions[0]))
         assert len(states) > 0
