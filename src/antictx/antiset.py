@@ -10,15 +10,16 @@ outcome instead.  Verified antisets yield the inequality
 for noncontextual states: state-independent in the strong case, and
 conditional on omega(principal) = 1 in the weak case.  Triples are always
 checked through the overlap criterion on Gram data; no antidistinguishing
-measurement is ever constructed.  Verification decides and logs one triple
-at a time, in lexicographic order.  The search for maximal antisets
-decides every (pair from the pool) x (principal outcome) triple at once,
-with the array form of the criterion on one Gram matrix, and puts each
-clique's triple log together from the logs of its pairs.
+measurement is ever constructed.  One routine verifies both kinds, deciding
+and logging one triple at a time, in lexicographic order.  The search for
+maximal antisets decides every (pair from the pool) x (principal outcome)
+triple at once, with the array form of the criterion on one Gram matrix,
+and puts each clique's triple log together from the logs of its pairs.
 
 Inequalities can be combined: added together, extended by a context
 normalization (which raises the bound by exactly 1 for every state), or
-extended by an outcome that a side constraint already pins to 1.
+extended by an outcome that a side constraint already pins to 1.  The kind
+follows from the side constraints, which every constructor sorts by label.
 """
 
 from __future__ import annotations
@@ -70,6 +71,11 @@ class PairwiseAntiset:
     principal: tuple[str, ...] | str
     triple_log: tuple[TripleLogEntry, ...]
 
+    @property
+    def boundary_triples(self) -> int:
+        """How many logged triples meet the overlap criterion with equality."""
+        return sum(1 for *_, v in self.triple_log if v.boundary)
+
 
 @dataclass(frozen=True)
 class NoncontextualityInequality:
@@ -77,9 +83,12 @@ class NoncontextualityInequality:
 
     coefficients: tuple[tuple[str, Fraction], ...]  # sorted by label
     bound: Fraction
-    kind: str  # "state-independent" | "state-dependent"
-    side_constraints: tuple[tuple[str, Fraction], ...]
+    side_constraints: tuple[tuple[str, Fraction], ...]  # sorted by label
     provenance: str
+
+    @property
+    def kind(self) -> str:
+        return "state-dependent" if self.side_constraints else "state-independent"
 
     def coefficient_map(self) -> dict[str, Fraction]:
         return dict(self.coefficients)
@@ -100,16 +109,33 @@ def _check_basis(states: PureStateSet, principal: Sequence[str], tol: float) -> 
         )
 
 
-def _checked_triples(
-    g, triples: Iterable[tuple[str, str, str]], tol: float
-) -> tuple[TripleLogEntry, ...]:
+def _verified(
+    kind: str, states: PureStateSet, members: Iterable[str], principal: tuple[str, ...], tol: float
+) -> PairwiseAntiset:
+    """Check every (pair from W) x (principal outcome) triple, in lexicographic order.
+
+    A weak antiset is the one-outcome principal case, without the basis check.
+    """
+    strong = kind == "strong"
+    w = tuple(sorted(set(members)))
+    if len(w) < 2:
+        raise ValueError("an antiset needs at least two members")
+    overlap = set(w) & set(principal)
+    if overlap:
+        noun = "principal context" if strong else "principal"
+        raise ValueError(f"members and {noun} overlap: {sorted(overlap)}")
+    if strong:
+        _check_basis(states, principal, tol)
+    g = gram(states.subset(w + principal))  # raises UnknownLabelError on an absent label
+    ordered = sorted(principal)
     log = []
-    for a, b, c in triples:
-        verdict = triple_antidistinguishable(TripleOverlaps.from_gram(g, a, b, c, tol=tol), tol)
-        if not verdict.antidistinguishable:
-            raise FailedTripleError((a, b, c), verdict)
-        log.append((a, b, c, verdict))
-    return tuple(log)
+    for a, b in itertools.combinations(w, 2):
+        for c in ordered:
+            verdict = triple_antidistinguishable(TripleOverlaps.from_gram(g, a, b, c, tol=tol), tol)
+            if not verdict.antidistinguishable:
+                raise FailedTripleError((a, b, c), verdict)
+            log.append((a, b, c, verdict))
+    return PairwiseAntiset(kind, w, principal if strong else principal[0], tuple(log))
 
 
 def verify_strong_antiset(
@@ -123,19 +149,7 @@ def verify_strong_antiset(
     Fails fast with FailedTripleError on the first triple (in lexicographic
     order) that is not antidistinguishable.
     """
-    w = tuple(sorted(set(members)))
-    principal = tuple(principal)
-    if len(w) < 2:
-        raise ValueError("an antiset needs at least two members")
-    overlap = set(w) & set(principal)
-    if overlap:
-        raise ValueError(f"members and principal context overlap: {sorted(overlap)}")
-    _check_basis(states, principal, tol)
-    g = gram(states.subset(w + principal))
-    ordered = sorted(principal)
-    triples = [(a, b, c) for a, b in itertools.combinations(w, 2) for c in ordered]
-    log = _checked_triples(g, triples, tol)
-    return PairwiseAntiset("strong", w, principal, log)
+    return _verified("strong", states, members, tuple(principal), tol)
 
 
 def verify_weak_antiset(
@@ -145,16 +159,7 @@ def verify_weak_antiset(
     tol: float = TOLERANCE,
 ) -> PairwiseAntiset:
     """Check every pair from W against the single principal outcome."""
-    w = tuple(sorted(set(members)))
-    if len(w) < 2:
-        raise ValueError("an antiset needs at least two members")
-    if principal in w:
-        raise ValueError(f"principal outcome {principal!r} must not be a member of W")
-    states.index(principal)  # raises UnknownLabelError if absent
-    g = gram(states.subset(w + (principal,)))
-    triples = [(a, b, principal) for a, b in itertools.combinations(w, 2)]
-    log = _checked_triples(g, triples, tol)
-    return PairwiseAntiset("weak", w, principal, log)
+    return _verified("weak", states, members, (principal,), tol)
 
 
 # triples per block of the criterion table: a block's temporaries stay small
@@ -237,13 +242,19 @@ def find_strong_antisets(
     return antisets
 
 
+def _inequality(
+    coefficients: dict[str, Fraction], bound: Fraction, side: tuple[tuple[str, Fraction], ...], provenance: str
+) -> NoncontextualityInequality:
+    return NoncontextualityInequality(tuple(sorted(coefficients.items())), bound, side, provenance)
+
+
 def inequality_from_antiset(aset: PairwiseAntiset) -> NoncontextualityInequality:
     """The antiset inequality: unit coefficients on W, bound 1."""
     if aset.kind == "strong":
         side, origin = (), f"over principal context {{{','.join(aset.principal)}}}"
     else:
         side, origin = ((aset.principal, Fraction(1)),), f"with principal outcome {aset.principal}"
-    return _with_kind(
+    return _inequality(
         dict.fromkeys(aset.members, Fraction(1)),
         Fraction(1),
         side,
@@ -253,7 +264,7 @@ def inequality_from_antiset(aset: PairwiseAntiset) -> NoncontextualityInequality
 
 
 def _merge_side_constraints(
-    left: tuple[tuple[str, Fraction], ...], right: tuple[tuple[str, Fraction], ...]
+    left: tuple[tuple[str, Fraction], ...], right: Iterable[tuple[str, Fraction]]
 ) -> tuple[tuple[str, Fraction], ...]:
     merged = dict(left)
     for label, value in right:
@@ -265,34 +276,27 @@ def _merge_side_constraints(
     return tuple(sorted(merged.items()))
 
 
-def _with_kind(
-    coefficients: dict[str, Fraction],
+def _plus(
+    ineq: NoncontextualityInequality,
+    terms: Iterable[tuple[str, Fraction]],
     bound: Fraction,
-    side_constraints: tuple[tuple[str, Fraction], ...],
+    side: tuple[tuple[str, Fraction], ...],
     provenance: str,
 ) -> NoncontextualityInequality:
-    return NoncontextualityInequality(
-        coefficients=tuple(sorted(coefficients.items())),
-        bound=bound,
-        kind="state-dependent" if side_constraints else "state-independent",
-        side_constraints=side_constraints,
-        provenance=provenance,
-    )
+    """`ineq` with `terms` added to its coefficients and `bound` to its bound."""
+    coefficients = dict(ineq.coefficients)
+    for label, c in terms:
+        coefficients[label] = coefficients.get(label, Fraction(0)) + c
+    return _inequality(coefficients, ineq.bound + bound, side, provenance)
 
 
 def add_inequality(
     left: NoncontextualityInequality, right: NoncontextualityInequality
 ) -> NoncontextualityInequality:
     """Coefficient-wise sum; bounds add."""
-    coefficients = dict(left.coefficients)
-    for label, c in right.coefficients:
-        coefficients[label] = coefficients.get(label, Fraction(0)) + c
-    return _with_kind(
-        coefficients,
-        left.bound + right.bound,
-        _merge_side_constraints(left.side_constraints, right.side_constraints),
-        f"sum of [{left.provenance}] and [{right.provenance}]",
-    )
+    side = _merge_side_constraints(left.side_constraints, right.side_constraints)
+    provenance = f"sum of [{left.provenance}] and [{right.provenance}]"
+    return _plus(left, right.coefficients, right.bound, side, provenance)
 
 
 def add_context_normalization(
@@ -305,34 +309,18 @@ def add_context_normalization(
     members = tuple(sorted(set(context)))
     if not members:
         raise ConstraintMismatchError("context normalization needs a nonempty context")
-    coefficients = dict(ineq.coefficients)
-    for label in members:
-        coefficients[label] = coefficients.get(label, Fraction(0)) + 1
-    return _with_kind(
-        coefficients,
-        ineq.bound + 1,
-        ineq.side_constraints,
-        f"{ineq.provenance}; plus normalization of context {{{','.join(members)}}}",
-    )
+    provenance = f"{ineq.provenance}; plus normalization of context {{{','.join(members)}}}"
+    return _plus(ineq, [(a, Fraction(1)) for a in members], Fraction(1), ineq.side_constraints, provenance)
 
 
 def add_constrained_outcome(
     ineq: NoncontextualityInequality, label: str
 ) -> NoncontextualityInequality:
     """Add +1 on an outcome already pinned to 1 by a side constraint."""
-    pinned = dict(ineq.side_constraints)
-    if pinned.get(label) != 1:
-        raise ConstraintMismatchError(
-            f"outcome {label!r} has no side constraint pinning it to 1"
-        )
-    coefficients = dict(ineq.coefficients)
-    coefficients[label] = coefficients.get(label, Fraction(0)) + 1
-    return _with_kind(
-        coefficients,
-        ineq.bound + 1,
-        ineq.side_constraints,
-        f"{ineq.provenance}; plus constrained outcome {label}",
-    )
+    if dict(ineq.side_constraints).get(label) != 1:
+        raise ConstraintMismatchError(f"outcome {label!r} has no side constraint pinning it to 1")
+    provenance = f"{ineq.provenance}; plus constrained outcome {label}"
+    return _plus(ineq, [(label, Fraction(1))], Fraction(1), ineq.side_constraints, provenance)
 
 
 @dataclass(frozen=True)
@@ -390,26 +378,28 @@ def inequality_to_json(ineq: NoncontextualityInequality) -> bytes:
 
 
 def load_inequality(source: bytes | str | IO) -> NoncontextualityInequality:
-    """Read an inequality document; its kind follows from its side constraints."""
+    """Read an inequality document; its kind follows from its side constraints.
+
+    Side constraints are sorted by label, and two that pin one label to
+    different values are a parse error.
+    """
     doc = read_document(source)
     expected = {"coefficients", "bound", "kind", "side_constraints", "provenance"}
     if set(doc) - expected:
         raise ScenarioParseError(f"inequality document keys must be within {sorted(expected)}")
     try:
-        ineq = _with_kind(
-            {a: parse_rational(c) for a, c in doc["coefficients"].items()},
-            parse_rational(doc["bound"]),
-            tuple(
-                (entry["label"], parse_rational(entry["value"]))
-                for entry in doc.get("side_constraints", [])
-            ),
-            doc.get("provenance", ""),
-        )
+        coefficients = {a: parse_rational(c) for a, c in doc["coefficients"].items()}
+        bound = parse_rational(doc["bound"])
+        side = [(entry["label"], parse_rational(entry["value"])) for entry in doc.get("side_constraints", [])]
+        provenance = doc.get("provenance", "")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ScenarioParseError(f"malformed inequality document: {exc}") from exc
-    labels = [label for label, _ in ineq.side_constraints]
-    if not all(isinstance(x, str) for x in [*labels, ineq.provenance]):
+    if not all(isinstance(x, str) for x in [*(label for label, _ in side), provenance]):
         raise ScenarioParseError("side-constraint labels and provenance must be strings")
+    try:
+        ineq = _inequality(coefficients, bound, _merge_side_constraints((), side), provenance)
+    except ConstraintMismatchError as exc:
+        raise ScenarioParseError(str(exc)) from exc
     if doc.get("kind", ineq.kind) != ineq.kind:
         raise ScenarioParseError(
             f"kind {doc['kind']!r} disagrees with the side constraints, which make it {ineq.kind!r}"

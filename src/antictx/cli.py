@@ -190,7 +190,7 @@ def _antiset_payload(aset: antiset.PairwiseAntiset) -> dict:
         "members": list(aset.members),
         "principal": list(aset.principal) if aset.kind == "strong" else aset.principal,
         "triple_count": len(aset.triple_log),
-        "boundary_triples": sum(1 for *_, v in aset.triple_log if v.boundary),
+        "boundary_triples": aset.boundary_triples,
     }
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "build_state_polytope",
     "state_optimize",
     "state_uniqueness",
-    "format_lp",
 ]
 
 # Exact rationals are carried by the stdlib Fraction type: arbitrary
@@ -425,16 +424,3 @@ def state_uniqueness(s: Scenario) -> StateUniquenessResult:
             return StateUniquenessResult("non-unique")
         point.append((label, hi.value))
     return StateUniquenessResult("unique", tuple(point))
-
-
-def format_lp(lp: LinearProgram) -> str:
-    """Plain-text dump with p/q rationals, for debugging."""
-    lines = ["maximize " + " + ".join(f"{format_rational(c)}*{v}" for c, v in zip(lp.objective, lp.variables))]
-    lines.append("subject to")
-    for coeffs, rel, rhs in lp.rows:
-        terms = " + ".join(f"{format_rational(c)}*{v}" for c, v in zip(coeffs, lp.variables) if c != 0)
-        lines.append(f"  {terms or '0'} {rel} {format_rational(rhs)}")
-    for v, lo, up in zip(lp.variables, lp.lower, lp.upper):
-        hi = format_rational(up) if up is not None else "inf"
-        lines.append(f"  {format_rational(lo)} <= {v} <= {hi}")
-    return "\n".join(lines)

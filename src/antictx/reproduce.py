@@ -101,7 +101,7 @@ def _yu_oh(tol, budget):
     combined = rays.union(basis)
     aset = antiset.verify_strong_antiset(combined, rays.labels, basis.labels, tol)
     _, lam = quantum.frame_operator(rays, tol)
-    boundary_ok = len(aset.triple_log) == 18 and all(v.boundary for *_, v in aset.triple_log)
+    boundary_ok = aset.boundary_triples == len(aset.triple_log) == 18
     frame_ok = lam is not None and abs(lam - 4 / 3) <= 10 * tol
     return _inequality_row(
         antiset.inequality_from_antiset(aset), combined, DensityOperator.maximally_mixed(3), tol,
@@ -158,7 +158,7 @@ def _sic(tol, budget):
     return _inequality_row(
         ineq, states, DensityOperator.from_pure(states.vector("a1")), tol, bound=2, value=3.0,
         violated=True, expected="bound 2 given omega(a1)=1, quantum value 3, violated",
-        detail=f"boundary_triples={sum(1 for *_, v in aset.triple_log if v.boundary)}",
+        detail=f"boundary_triples={aset.boundary_triples}",
     )
 
 

@@ -29,6 +29,7 @@ from antictx.errors import (
     NotABasisError,
     ResourceLimitError,
     ScenarioParseError,
+    UnknownLabelError,
 )
 from antictx.quantum import DensityOperator, PureStateSet, scenario_from_states
 from antictx.ratlp import build_state_polytope, solve
@@ -114,10 +115,38 @@ def test_basis_check_names_the_first_non_orthogonal_pair_in_row_order():
             check(states, ["w1", "w2"], principal)
 
 
-def test_members_disjoint_from_principal():
+@pytest.mark.parametrize("kind", ["strong", "weak"])
+def test_members_disjoint_from_principal(kind):
+    if kind == "strong":
+        rays, basis, combined = yu_oh_combined()
+        with pytest.raises(ValueError, match=r"members and principal context overlap: \['c1'\]"):
+            verify_strong_antiset(combined, ["a1", "c1"], basis.labels)
+    else:
+        states = generate_states(FamilySpec("maroney", 5))
+        with pytest.raises(ValueError, match=r"members and principal overlap: \['c'\]"):
+            verify_weak_antiset(states, ["a1", "c"], "c")
+
+
+def test_antiset_checks_run_in_order():
+    # at least two members, then disjointness, then the basis (strong
+    # only), then unknown labels
     rays, basis, combined = yu_oh_combined()
-    with pytest.raises(ValueError):
-        verify_strong_antiset(combined, ["a1", "c1"], basis.labels)
+    with pytest.raises(ValueError, match="at least two members"):
+        verify_strong_antiset(combined, ["c1"], ["c1", "zz"])
+    with pytest.raises(ValueError, match="overlap"):
+        verify_strong_antiset(combined, ["zz", "c1"], ["c1", "c2"])
+    with pytest.raises(NotABasisError):
+        verify_strong_antiset(combined, ["zz", "a1"], ["c1", "c2"])
+    with pytest.raises(UnknownLabelError, match="'zz'"):
+        verify_strong_antiset(combined, ["zz", "a1"], basis.labels)
+    with pytest.raises(ValueError, match="overlap"):
+        verify_weak_antiset(combined, ["zz", "c1"], "c1")
+
+
+def test_weak_antiset_with_an_unknown_principal():
+    rays, basis, combined = yu_oh_combined()
+    with pytest.raises(UnknownLabelError, match="'zz'"):
+        verify_weak_antiset(combined, ["a1", "a2"], "zz")
 
 
 def test_maroney_weak_antiset():
@@ -581,6 +610,7 @@ PINNED_C1 = [{"label": "c1", "value": "1"}]
         {"kind": "state-independent", "side_constraints": PINNED_C1},
         {"kind": "state-dependent"},
         {"side_constraints": [{"label": 5, "value": "1"}, {"label": "zz", "value": "1"}]},
+        {"side_constraints": [{"label": "c1", "value": "1"}, {"label": "c1", "value": "0"}]},
     ],
 )
 def test_load_inequality_rejects_a_kind_or_field_it_cannot_trust(fields):
@@ -593,3 +623,12 @@ def test_load_inequality_derives_the_kind_from_the_side_constraints():
     doc = {"coefficients": {"a1": "1"}, "bound": "1"}
     assert load_inequality(json.dumps(doc)).kind == "state-independent"
     assert load_inequality(json.dumps({**doc, "side_constraints": PINNED_C1})).kind == "state-dependent"
+
+
+def test_load_inequality_sorts_the_side_constraints():
+    pinned = [{"label": "d", "value": "1"}, {"label": "c", "value": "1"}]
+    doc = {"coefficients": {"a1": "1"}, "bound": "1", "provenance": "p"}
+    loaded = [load_inequality(json.dumps({**doc, "side_constraints": order})) for order in (pinned, pinned[::-1])]
+    assert loaded[0] == loaded[1]
+    assert loaded[0].side_constraints == (("c", 1), ("d", 1))
+    assert inequality_to_json(loaded[0]) == inequality_to_json(loaded[1])

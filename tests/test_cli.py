@@ -734,6 +734,19 @@ def test_non_string_side_constraint_label_is_usage_error(fixtures_dir, tmp_path)
     assert result.payload["error"] == "ScenarioParseError"
 
 
+def test_conflicting_side_constraints_are_usage_errors(fixtures_dir, tmp_path):
+    # neither a verdict from evaluate nor a missing pin from augment
+    side = [{"label": "c1", "value": "1"}, {"label": "c1", "value": "0"}]
+    ineq = _write_json(tmp_path, "ineq.json", {"coefficients": {"a1": "1"}, "bound": "1", "side_constraints": side})
+    vectors = fx(fixtures_dir, "yu_oh_all.json")
+    for argv in (["evaluate", "--ineq", ineq, "--vectors", vectors, "--rho", "label:c1"],
+                 ["augment", "--ineq", ineq, "--add-outcome", "c1"]):
+        result = dispatch(["inequality", *argv])
+        assert result.exit_code == 2
+        assert result.payload == {"error": "ScenarioParseError",
+                                  "message": "conflicting side constraints on 'c1': 1 vs 0"}
+
+
 def test_density_document_must_be_a_matrix_of_pairs(fixtures_dir, tmp_path):
     vectors = fx(fixtures_dir, "yu_oh_all.json")
     result = dispatch(_evaluate_argv(fixtures_dir, tmp_path, vectors, {"matrix": 5}))

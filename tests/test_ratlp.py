@@ -10,7 +10,6 @@ from antictx.errors import DimensionMismatchError
 from antictx.ratlp import (
     LinearProgram,
     build_state_polytope,
-    format_lp,
     format_rational,
     parse_rational,
     solve,
@@ -318,10 +317,3 @@ def test_solution_points_satisfy_constraints_exactly():
                 lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
             )
         assert all(x >= 0 for x in res.point)
-
-
-def test_format_lp_mentions_rationals():
-    s = generate_scenario("specker")
-    text = format_lp(build_state_polytope(s).with_objective([1, Fraction(1, 2), 0]))
-    assert "1/2*b" in text
-    assert "subject to" in text
