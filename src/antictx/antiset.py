@@ -268,6 +268,8 @@ def _merge_side_constraints(
 ) -> tuple[tuple[str, Fraction], ...]:
     merged = dict(left)
     for label, value in right:
+        if value not in (0, 1):
+            raise ConstraintMismatchError(f"side constraint pins {label!r} to {value}, not to 0 or 1")
         if label in merged and merged[label] != value:
             raise ConstraintMismatchError(
                 f"conflicting side constraints on {label!r}: {merged[label]} vs {value}"

@@ -8,7 +8,9 @@ boundary: rows are scaled to integers on entry, and the point is read off as
 fractions.  There is no floating-point fast path: callers rely on results
 like 5/2 being exact.  Before an optimal result is returned, the point is
 substituted back into every constraint; before an infeasible one, the
-phase-1 multipliers are checked as a Farkas certificate.
+phase-1 multipliers are checked as a Farkas certificate.  A `LinearProgram`
+checks its lengths and relations where it is made, however it is made, so
+`build` only parses and `solve` trusts what it is given.
 
 Also provides the state-polytope constructions for scenarios: one variable
 per outcome, an equality row per context, a `<=` row per partial context,
@@ -80,13 +82,27 @@ class LinearProgram:
     """Maximize objective . x subject to rows and per-variable bounds.
 
     Entries are exact rationals: Fractions, or ints where a caller builds the
-    program directly."""
+    program directly.  Making one checks that the objective, every row and
+    both bound vectors have one entry per variable and that every relation
+    is `<=`, `=` or `>=`; the check reads lengths, never entries."""
 
     variables: tuple[str, ...]
     objective: tuple[Fraction, ...]
     rows: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
     lower: tuple[Fraction, ...]
     upper: tuple[Fraction | None, ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.variables)
+        if len(self.objective) != n:
+            raise DimensionMismatchError(f"objective has {len(self.objective)} entries for {n} variables")
+        for row, rel, _ in self.rows:
+            if rel not in _RELATIONS:
+                raise DimensionMismatchError(f"unknown relation {rel!r}")
+            if len(row) != n:
+                raise DimensionMismatchError(f"row has {len(row)} entries for {n} variables")
+        if len(self.lower) != n or len(self.upper) != n:
+            raise DimensionMismatchError("bound vectors must match the variable count")
 
     @staticmethod
     def build(
@@ -97,28 +113,16 @@ class LinearProgram:
         upper: Sequence | None = None,
     ) -> "LinearProgram":
         n = len(variables)
-        obj = tuple(parse_rational(c) for c in (objective if objective is not None else [0] * n))
-        if len(obj) != n:
-            raise DimensionMismatchError(f"objective has {len(obj)} entries for {n} variables")
-        built_rows = []
-        for coeffs, rel, rhs in rows:
-            if rel not in _RELATIONS:
-                raise DimensionMismatchError(f"unknown relation {rel!r}")
-            row = tuple(parse_rational(c) for c in coeffs)
-            if len(row) != n:
-                raise DimensionMismatchError(f"row has {len(row)} entries for {n} variables")
-            built_rows.append((row, rel, parse_rational(rhs)))
-        lo = tuple(parse_rational(v) for v in (lower if lower is not None else [0] * n))
-        up = tuple(None if v is None else parse_rational(v) for v in (upper if upper is not None else [None] * n))
-        if len(lo) != n or len(up) != n:
-            raise DimensionMismatchError("bound vectors must match the variable count")
-        return LinearProgram(tuple(variables), obj, tuple(built_rows), lo, up)
+        return LinearProgram(
+            tuple(variables),
+            tuple(parse_rational(c) for c in (objective if objective is not None else [0] * n)),
+            tuple((tuple(parse_rational(c) for c in coeffs), rel, parse_rational(rhs)) for coeffs, rel, rhs in rows),
+            tuple(parse_rational(v) for v in (lower if lower is not None else [0] * n)),
+            tuple(None if v is None else parse_rational(v) for v in (upper if upper is not None else [None] * n)),
+        )
 
     def with_objective(self, objective: Sequence) -> "LinearProgram":
-        obj = tuple(parse_rational(c) for c in objective)
-        if len(obj) != len(self.variables):
-            raise DimensionMismatchError("objective length mismatch")
-        return replace(self, objective=obj)
+        return replace(self, objective=tuple(parse_rational(c) for c in objective))
 
 
 @dataclass(frozen=True)
@@ -135,24 +139,17 @@ def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 def solve(lp: LinearProgram) -> LPResult:
     """Exact two-phase simplex.  Optimal points and infeasible verdicts are
     certified before return."""
+    # Shift to y = x - lower so every variable has lower bound 0, turn upper
+    # bounds into unit rows, and flip each row to a nonnegative right-hand side.
     n = len(lp.variables)
-    for row, _, _ in lp.rows:
-        if len(row) != n:
-            raise DimensionMismatchError("row length mismatch")
-    if len(lp.objective) != n:
-        raise DimensionMismatchError("objective length mismatch")
-
-    # Shift to y = x - lower so every variable has lower bound 0, and turn
-    # upper bounds into explicit rows.
     shifted = [(j, lo) for j, lo in enumerate(lp.lower) if lo]
+    units = [([0] * j + [1] + [0] * (n - j - 1), LE, ub) for j, ub in enumerate(lp.upper) if ub is not None]
     rows: list[tuple[Sequence[Fraction], str, Fraction]] = []
-    for coeffs, rel, rhs in lp.rows:
-        rows.append((coeffs, rel, rhs - sum((coeffs[j] * lo for j, lo in shifted), _ZERO)))
-    for j, ub in enumerate(lp.upper):
-        if ub is not None:
-            unit = [0] * n
-            unit[j] = 1
-            rows.append((unit, LE, ub - lp.lower[j]))
+    for coeffs, rel, rhs in (*lp.rows, *units):
+        rhs -= sum((coeffs[j] * lo for j, lo in shifted), _ZERO)
+        if rhs < 0:
+            coeffs, rel, rhs = [-c for c in coeffs], _FLIPPED[rel], -rhs
+        rows.append((coeffs, rel, rhs))
 
     status, y, optimum = _solve_nonneg(n, rows, lp.objective)
     if status != "optimal":
@@ -173,8 +170,9 @@ def _solve_nonneg(
     rows: list[tuple[Sequence[Fraction], str, Fraction]],
     objective: Sequence[Fraction],
 ) -> tuple[str, list[Fraction] | None, Fraction | None]:
-    """Maximize objective . y over y >= 0 subject to `rows`; return the
-    status, the point and the optimum read off the cost row.
+    """Maximize objective . y over y >= 0 subject to `rows`, whose right-hand
+    sides are nonnegative; return the status, the point and the optimum read
+    off the cost row.
 
     The tableau is kept in integers: row i of `tab` is D times the canonical
     simplex row, D > 0 being the determinant of the current basis, and the
@@ -183,23 +181,16 @@ def _solve_nonneg(
     exactly (Sylvester's identity), so no Fraction is built until the point
     is read off.  The cost row rides along as the last row of `tab`.
     """
-    # normalize to nonnegative right-hand sides
-    norm = []
-    for coeffs, rel, rhs in rows:
-        if rhs < 0:
-            coeffs, rel, rhs = [-c for c in coeffs], _FLIPPED[rel], -rhs
-        norm.append((coeffs, rel, rhs))
-
-    nreal = nvars + sum(1 for _, rel, _ in norm if rel != EQ)  # then the artificials
-    ncols = nreal + sum(1 for _, rel, _ in norm if rel != LE)
+    nreal = nvars + sum(1 for _, rel, _ in rows if rel != EQ)  # then the artificials
+    ncols = nreal + sum(1 for _, rel, _ in rows if rel != LE)
     # row i scaled by s_i clears its denominators; the starting basis of
     # those scaled rows is diag(s_i), so D starts as the product of the s_i
-    d = prod(_lcm_denominators(coeffs) for coeffs, _, _ in norm)
-    k = _lcm_denominators(rhs for _, _, rhs in norm)
+    d = prod(_lcm_denominators(coeffs) for coeffs, _, _ in rows)
+    k = _lcm_denominators(rhs for _, _, rhs in rows)
     tab: list[list[int]] = []
     basis: list[int] = []
     si, ai = nvars, nreal
-    for coeffs, rel, rhs in norm:
+    for coeffs, rel, rhs in rows:
         row = [c.numerator * d // c.denominator for c in coeffs]
         row += [0] * (ncols - nvars)
         row.append(rhs.numerator * d * k // rhs.denominator)
@@ -217,13 +208,7 @@ def _solve_nonneg(
     if ncols > nreal:
         # phase 1: maximize minus the sum of the artificials
         initial, start = [row[:] for row in tab], basis[:]
-        cost = [0] * (ncols + 1)
-        for row, b in zip(tab, basis):
-            if b >= nreal:
-                cost = [x + v for x, v in zip(cost, row)]
-        for j in range(nreal, ncols):
-            cost[j] -= d
-        tab.append(cost)
+        tab.append(_cost_row(tab, basis, [0] * nreal + [-1] * (ncols - nreal), d))
         d, bounded = _run_simplex(tab, basis, d)
         cost = tab.pop()
         if not bounded or cost[-1]:
@@ -243,14 +228,10 @@ def _solve_nonneg(
                 d = _pivot(tab, i, col, d)
                 basis[i] = col
 
-    # phase 2: cost row D * (c - c_B B^-1 A), times the lcm of c's denominators
+    # phase 2: the objective, times the lcm of its denominators
     scale = _lcm_denominators(objective)
     c = [q.numerator * scale // q.denominator for q in objective] + [0] * (nreal - nvars)
-    cost = [cj * d for cj in c] + [0]
-    for row, b in zip(tab, basis):
-        if c[b]:
-            cost = [x - c[b] * v for x, v in zip(cost, row)]
-    tab.append(cost)
+    tab.append(_cost_row(tab, basis, c, d))
     d, bounded = _run_simplex(tab, basis, d)
     if not bounded:
         return ("unbounded", None, None)
@@ -260,6 +241,16 @@ def _solve_nonneg(
             point[b] = Fraction(row[-1], d * k)
     # the cost row's rhs is -D * K * scale times the objective's value
     return ("optimal", point, Fraction(-tab[-1][-1], d * k * scale))
+
+
+def _cost_row(tab: list[list[int]], basis: list[int], c: list[int], d: int) -> list[int]:
+    """The cost row D * (c - c_B B^-1 A) of the integer tableau for the
+    integer costs c, with the right-hand-side entry last."""
+    cost = [cj * d for cj in c] + [0]
+    for row, b in zip(tab, basis):
+        if c[b]:
+            cost = [x - c[b] * v for x, v in zip(cost, row)]
+    return cost
 
 
 def _pivot(tab: list[list[int]], r: int, c: int, d: int) -> int:
@@ -370,31 +361,22 @@ def build_state_polytope(s: Scenario) -> LinearProgram:
     check_members_known(s)
     labels = s.outcomes
     index = {a: j for j, a in enumerate(labels)}
+    zeros = (_ZERO,) * len(labels)
     rows = []
     for family, rel in ((s.contexts, EQ), (s.partial_contexts, LE)):
         for members in family:
-            coeffs = [_ZERO] * len(labels)
+            coeffs = list(zeros)
             for a in members:
                 coeffs[index[a]] = _ONE
             rows.append((tuple(coeffs), rel, _ONE))
-    return LinearProgram(
-        variables=labels,
-        objective=tuple([_ZERO] * len(labels)),
-        rows=tuple(rows),
-        lower=tuple([_ZERO] * len(labels)),
-        upper=tuple([_ONE] * len(labels)),
-    )
-
-
-def _coeff_vector(labels: Sequence[str], coeffs: Mapping[str, object]) -> tuple[Fraction, ...]:
-    check_labels(labels, coeffs)
-    return tuple(parse_rational(coeffs.get(a, 0)) for a in labels)
+    return LinearProgram(labels, zeros, tuple(rows), zeros, (_ONE,) * len(labels))
 
 
 def state_optimize(s: Scenario, coeffs: Mapping[str, object]) -> LPResult:
     """Maximize a linear functional over the state polytope of `s`."""
     lp = build_state_polytope(s)
-    return solve(lp.with_objective(_coeff_vector(lp.variables, coeffs)))
+    check_labels(lp.variables, coeffs)
+    return solve(lp.with_objective([coeffs.get(a, 0) for a in lp.variables]))
 
 
 @dataclass(frozen=True)

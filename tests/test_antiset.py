@@ -611,6 +611,8 @@ PINNED_C1 = [{"label": "c1", "value": "1"}]
         {"kind": "state-dependent"},
         {"side_constraints": [{"label": 5, "value": "1"}, {"label": "zz", "value": "1"}]},
         {"side_constraints": [{"label": "c1", "value": "1"}, {"label": "c1", "value": "0"}]},
+        {"side_constraints": [{"label": "c1", "value": "7"}]},
+        {"side_constraints": [{"label": "c1", "value": "1/2"}]},
     ],
 )
 def test_load_inequality_rejects_a_kind_or_field_it_cannot_trust(fields):

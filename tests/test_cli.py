@@ -747,6 +747,16 @@ def test_conflicting_side_constraints_are_usage_errors(fixtures_dir, tmp_path):
                                   "message": "conflicting side constraints on 'c1': 1 vs 0"}
 
 
+def test_side_constraint_pinning_to_neither_0_nor_1_is_a_usage_error(fixtures_dir, tmp_path):
+    # no probability meets such a pin, so evaluate must not give a verdict on it
+    side = [{"label": "c1", "value": "7"}]
+    ineq = _write_json(tmp_path, "ineq.json", {"coefficients": {"a1": "1"}, "bound": "1", "side_constraints": side})
+    argv = ["inequality", "evaluate", "--ineq", ineq, "--vectors", fx(fixtures_dir, "yu_oh_all.json"), "--rho", "label:c1"]
+    result = dispatch(argv)
+    assert result.exit_code == 2
+    assert result.payload == {"error": "ScenarioParseError", "message": "side constraint pins 'c1' to 7, not to 0 or 1"}
+
+
 def test_density_document_must_be_a_matrix_of_pairs(fixtures_dir, tmp_path):
     vectors = fx(fixtures_dir, "yu_oh_all.json")
     result = dispatch(_evaluate_argv(fixtures_dir, tmp_path, vectors, {"matrix": 5}))
@@ -876,10 +886,10 @@ def test_closed_pipe_leaves_no_traceback():
     # ~0.5 MB of JSON: the writer is still blocked on the pipe when it closes
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     argv = [sys.executable, "-m", "antictx.cli", "generate", "standard_basis", "--d", "100"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    proc.wait(timeout=60)
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.wait(timeout=60)
     assert proc.returncode == 0
     assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -89,6 +89,20 @@ def test_dimension_mismatch():
         LinearProgram.build(["x"], [1, 2])
     with pytest.raises(DimensionMismatchError):
         LinearProgram.build(["x"], [1], [((1, 2), "<=", 1)])
+    lp = LinearProgram.build(["x", "y"], [1, 1], [((1, 1), "<=", 3)], upper=[None, None])
+    with pytest.raises(DimensionMismatchError):
+        lp.with_objective([1])
+    # made directly, a program is checked as strictly as one from build:
+    # unchecked, "<" was solved as ">=" and a short `lower` truncated the point
+    for field, value in [
+        ("rows", (((1, 1), "<", 3),)),
+        ("rows", (((1,), "<=", 3),)),
+        ("objective", (1,)),
+        ("lower", (0,)),
+        ("upper", (None,)),
+    ]:
+        with pytest.raises(DimensionMismatchError):
+            LinearProgram(**{**vars(lp), field: value})
 
 
 def test_klyachko_state_optimum_is_five_halves():
