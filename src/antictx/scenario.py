@@ -226,7 +226,10 @@ def parse_scenario(source: bytes | str | IO) -> Scenario:
             raise ScenarioParseError(f"{key} must be a list of lists")
         families[key] = [_parse_label_list(x, f"{key} entry") for x in value]
 
-    return make_scenario(outcomes, families["contexts"], families["partial_contexts"])
+    s = make_scenario(outcomes, families["contexts"], families["partial_contexts"])
+    if len(s.outcomes) < len(outcomes):  # keep a repeated label for validation to report
+        s = Scenario(tuple(sorted(outcomes)), s.contexts, s.partial_contexts)
+    return s
 
 
 def load_scenario(source: bytes | str | IO) -> Scenario:

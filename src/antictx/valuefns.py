@@ -28,10 +28,11 @@ search keeps its own stack, so no scenario is too deep for it.
 Enumeration, definite intersections and membership build the product of the
 components' sorted mask lists, charging one node per value function built,
 so the budget also caps the list.  Classical bounds count and keep the
-heaviest value function under integer weights, building no list.  A
-`ValueFunction` is an immutable `(labels, ones)` NamedTuple; lists of them
-are built with the cyclic collector paused, as they make no cycles.  There
-is no tolerance anywhere in this module.
+heaviest value function under integer weights, building no list.  A definite
+intersection is the search with each definite outcome added as a one-outcome
+context; an antiset bound is `classical_bound` with unit coefficients.  A
+`ValueFunction` is an immutable `(labels, ones)` NamedTuple; lists of them are
+built with gc paused, as they make no cycles.  Nothing here uses a tolerance.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ class MembershipVerdict:
         return self.status == "member"
 
 
-def _components(s: Scenario, budget: NodeBudget, forced=(), gains=None):
+def _components(s: Scenario, budget: NodeBudget, gains=None):
     """Yield one leaf generator per connected component of the (partial-)
     context hypergraph of `s` (see `_search`); the outcomes in no set form
     one more component."""
@@ -158,27 +159,16 @@ def _components(s: Scenario, budget: NodeBudget, forced=(), gains=None):
     if free:
         parts[free] = []
     gain = {b: (gains or {}).get(a, 0) for a, b in bit.items()}
-    forced_ones = sum(map(bit.get, forced))
     for outcomes, contexts in sorted(parts.items(), reverse=True):
         # contexts keep the scenario's order, so ties in branching do too
-        yield _search(
-            outcomes, [masks[i] for i in sorted(contexts)], zeroed, gain, budget,
-            forced_ones & outcomes,
-        )
+        yield _search(outcomes, [masks[i] for i in sorted(contexts)], zeroed, gain, budget)
 
 
-def _search(outcomes: int, contexts: list[int], zeroed, gain, budget: NodeBudget, forced: int):
+def _search(outcomes: int, contexts: list[int], zeroed, gain, budget: NodeBudget):
     """Yield (ones, weight) for each assignment of the component `outcomes`
-    that gives every context in it one 1 and sets `forced` to 1: the mask of
-    its 1s and the sum of their integer gains."""
-    ones = zeros = weight = 0
-    while forced:
-        b = forced & -forced
-        forced ^= b
-        if b & zeros:
-            return  # two forced outcomes share a (partial) context
-        ones, zeros, weight = ones | b, zeros | zeroed[b], weight + gain[b]
-    stack = [(ones, zeros, weight, contexts)]
+    that gives every context in it one 1: the mask of its 1s and the sum of
+    their integer gains."""
+    stack = [(0, 0, 0, contexts)]
     while stack:
         ones, zeros, weight, candidates = stack.pop()
         allowed = ~zeros
@@ -231,12 +221,12 @@ def _completions(ones, weight, free, zeroed, gain, budget: NodeBudget) -> list[t
     return leaves
 
 
-def _masks(s: Scenario, node_budget, forced=()) -> list[int]:
-    """The sorted masks of the value functions setting `forced` to 1: the
-    product of the components' masks, one node charged per mask built."""
+def _masks(s: Scenario, node_budget) -> list[int]:
+    """The sorted masks of the value functions: the product of the
+    components' masks, one node charged per mask built."""
     budget = NodeBudget(node_budget, "value-function search")
     factors = []
-    for leaves in _components(s, budget, forced):
+    for leaves in _components(s, budget):
         found = sorted(ones for ones, _ in leaves)
         if not found:
             return []
@@ -262,9 +252,9 @@ def _gc_paused():
             gc.enable()
 
 
-def _value_functions(s: Scenario, node_budget, forced=()) -> list[ValueFunction]:
+def _value_functions(s: Scenario, node_budget) -> list[ValueFunction]:
     with _gc_paused():
-        masks = _masks(s, node_budget, forced)
+        masks = _masks(s, node_budget)
         return list(map(tuple.__new__, repeat(ValueFunction), zip(repeat(s.outcomes), masks)))
 
 
@@ -311,10 +301,12 @@ def count_value_functions(s: Scenario, *, node_budget: int | None = None) -> int
 def definite_intersection(
     s: Scenario, definite: Iterable[str], *, node_budget: int | None = None
 ) -> list[ValueFunction]:
-    """Value functions assigning 1 to every label in `definite`."""
+    """Value functions assigning 1 to every label in `definite`: those of
+    `s` with each such label added as a one-outcome context."""
     wanted = set(definite)
     check_labels(s.outcomes, wanted)
-    return _value_functions(s, node_budget, forced=wanted)
+    singles = tuple(frozenset([a]) for a in sorted(wanted))
+    return _value_functions(Scenario(s.outcomes, s.contexts + singles, s.partial_contexts), node_budget)
 
 
 def classical_bound(
@@ -397,16 +389,12 @@ def is_noncontextual_state(
 def brute_force_antiset_bound(
     s: Scenario, members: Iterable[str], *, node_budget: int | None = None
 ) -> Fraction:
-    """Max number of `members` outcomes any single value function sets to 1.
-
-    It runs the per-component search of `classical_bound` with unit gains
-    and builds no list.  For scenarios that embed all the antidistinguishing
-    contexts the result is at most 1, but on bare scenarios it can be larger.
+    """Max number of `members` outcomes any single value function sets to 1:
+    `classical_bound` with unit coefficients on them.  For scenarios that
+    embed all the antidistinguishing contexts the result is at most 1, but
+    on bare scenarios it can be larger.
     """
-    wanted = set(members)
-    check_labels(s.outcomes, wanted)
-    _, best, _ = _best(s, dict.fromkeys(wanted, 1), node_budget)
-    return Fraction(best)
+    return classical_bound(s, dict.fromkeys(members, 1), node_budget=node_budget).bound
 
 
 def _rationals(doc, key: str, what: str) -> dict[str, Fraction]:

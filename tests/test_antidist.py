@@ -17,6 +17,7 @@ from antictx.antidist import (
 )
 from antictx.ensembles import FamilySpec, generate_scenario, generate_states
 from antictx.errors import (
+    DimensionMismatchError,
     OverlapRangeError,
     ResourceLimitError,
     ScenarioParseError,
@@ -265,6 +266,34 @@ def test_certificate_needs_at_least_one_target(fixtures_dir):
     basis = PureStateSet.from_pairs(2, [("b0", [1, 0]), ("b1", [0, 1])])
     with pytest.raises(ValueError, match="at least one target"):
         verify_certificate(basis.subset([]), AntidistCertificate((), basis))
+
+
+@pytest.mark.parametrize(
+    "targets, message",
+    [
+        (None, "certificate document needs a 'targets' key"),
+        ("a1", "'targets' must be a list of labels"),
+        (["zz"], r"targets not present in states: \['zz'\]"),
+    ],
+)
+def test_certificate_targets_must_name_listed_states(fixtures_dir, targets, message):
+    doc = json.loads((fixtures_dir / "caves_certificate.json").read_text())
+    if targets is None:
+        del doc["targets"]
+    else:
+        doc["targets"] = targets
+    with pytest.raises(ScenarioParseError, match=f"^{message}$"):
+        load_certificate(json.dumps(doc))
+
+
+def test_certificate_basis_must_be_a_full_basis_of_the_targets_space():
+    target = PureStateSet.from_pairs(2, [("t", [1, 0])])
+    basis = PureStateSet.from_pairs(3, [("b0", [0, 1, 0]), ("b1", [0, 0, 1])])
+    with pytest.raises(DimensionMismatchError, match="^targets and basis live in different dimensions$"):
+        verify_certificate(target, AntidistCertificate(("t",), basis))
+    target = PureStateSet.from_pairs(3, [("t", [1, 0, 0])])
+    with pytest.raises(DimensionMismatchError, match="^basis must have exactly 3 vectors$"):
+        verify_certificate(target, AntidistCertificate(("t",), basis))
 
 
 def test_certificate_bridges_to_combinatorial_definition(fixtures_dir):

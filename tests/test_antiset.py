@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -298,6 +299,12 @@ def test_find_rejects_repeated_rays_in_the_pool():
         find_strong_antisets(pool.union(basis), pool.labels, basis.labels)
 
 
+def test_find_rejects_a_pool_that_overlaps_the_principal():
+    rays, basis, combined = yu_oh_combined()
+    with pytest.raises(ValueError, match=r"^pool and principal context overlap: \['c1'\]$"):
+        find_strong_antisets(combined, rays.labels + ("c1",), basis.labels)
+
+
 def test_find_obeys_the_node_budget():
     states, pool, basis = random_pool(3, n=12)
     with pytest.raises(ResourceLimitError):
@@ -453,6 +460,13 @@ def test_constrained_outcome_requires_side_constraint():
     )
     with pytest.raises(ConstraintMismatchError):
         add_constrained_outcome(ineq, "a1")
+
+
+def test_context_normalization_needs_a_nonempty_context():
+    rays, basis, combined = yu_oh_combined()
+    ineq = inequality_from_antiset(verify_strong_antiset(combined, rays.labels, basis.labels))
+    with pytest.raises(ConstraintMismatchError, match="^context normalization needs a nonempty context$"):
+        add_context_normalization(ineq, [])
 
 
 def test_context_normalization_shift_is_exactly_one_on_vertices():
@@ -619,6 +633,14 @@ def test_load_inequality_rejects_a_kind_or_field_it_cannot_trust(fields):
     doc = {"coefficients": {"a1": "1"}, "bound": "1", **fields}
     with pytest.raises(ScenarioParseError):
         load_inequality(json.dumps(doc))
+
+
+def test_load_inequality_rejects_an_extra_key_and_missing_coefficients():
+    keys = "['bound', 'coefficients', 'kind', 'provenance', 'side_constraints']"
+    with pytest.raises(ScenarioParseError, match=f"^inequality document keys must be within {re.escape(keys)}$"):
+        load_inequality(json.dumps({"coefficients": {"a1": "1"}, "bound": "1", "extra": 1}))
+    with pytest.raises(ScenarioParseError, match="^malformed inequality document: 'coefficients'$"):
+        load_inequality(json.dumps({"bound": "1"}))
 
 
 def test_load_inequality_derives_the_kind_from_the_side_constraints():

@@ -36,6 +36,24 @@ def test_validate_unknown_key_is_usage_error(tmp_path):
     assert result.exit_code == 2
 
 
+def _repeated_label(tmp_path):
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps({"outcomes": ["a", "a", "b"], "contexts": [["a", "b"]]}))
+    return str(path)
+
+
+def test_validate_reports_a_repeated_label(tmp_path):
+    result = dispatch(["validate", _repeated_label(tmp_path)])
+    assert result.exit_code == 1
+    assert result.payload["violations"] == [{"rule": "label-duplicate", "subjects": ["a"]}]
+
+
+def test_loading_a_repeated_label_is_a_validation_error(tmp_path):
+    result = dispatch(["value-functions", _repeated_label(tmp_path)])
+    assert result.exit_code == 2
+    assert result.payload["error"] == "validation"
+
+
 def test_missing_file_is_usage_error():
     assert dispatch(["validate", "/nonexistent/path.json"]).exit_code == 2
 

@@ -183,6 +183,11 @@ def test_scenario_from_states_outputs_validate():
         assert validate_scenario(s).valid
 
 
+def test_scenario_generation_needs_two_dimensions():
+    with pytest.raises(ValueError, match="^scenario generation needs dimension >= 2$"):
+        scenario_from_states(kets(1, [1]))
+
+
 def test_duplicate_ray_error():
     r = 1 / math.sqrt(2)
     with pytest.raises(DuplicateRayError):

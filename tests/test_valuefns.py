@@ -161,6 +161,8 @@ def test_membership_rejects_non_states():
         is_noncontextual_state(s, {a: Fraction(2, 3) for a in s.outcomes})
     with pytest.raises(NotAStateError):
         is_noncontextual_state(generate_scenario("classical", 2), {"x1": 1, "x2": 1})
+    with pytest.raises(NotAStateError, match=r"^omega\(0\) = 3/2 lies outside \[0, 1\]$"):
+        is_noncontextual_state(s, {"0": Fraction(3, 2)})
 
 
 def test_membership_empty_polytope_verdict():
