@@ -37,7 +37,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .quantum import TOLERANCE, GramData, PureStateSet, gram, states_from_doc
-from .scenario import Scenario, check_labels, read_document
+from .scenario import Scenario, check_labels, check_members_known, read_document
 
 __all__ = [
     "TripleOverlaps",
@@ -264,6 +264,7 @@ def scenario_antidistinguishable(
     targets = tuple(sorted(set(members)))
     if not targets:
         raise UnknownLabelError("the outcome set to test must be nonempty")
+    check_members_known(s)
     check_labels(s.outcomes, targets)
     all_sets = sorted(tuple(sorted(t)) for t in s.all_sets())
     # the other outcomes that share a (partial) context with each target

@@ -227,7 +227,9 @@ def quantum_value(
     return total
 
 
-def scenario_from_states(states: PureStateSet, tol: float = TOLERANCE) -> Scenario:
+def scenario_from_states(
+    states: PureStateSet, tol: float = TOLERANCE, *, node_budget: int | None = None
+) -> Scenario:
     """The contextuality scenario generated by a set of rays.
 
     Orthogonality (squared overlap <= tol) defines a graph; maximal cliques
@@ -237,7 +239,7 @@ def scenario_from_states(states: PureStateSet, tol: float = TOLERANCE) -> Scenar
     ToleranceAmbiguityError when any overlap falls in (tol, 10*tol), where
     the orthogonality cut would be unsafe, or when more than d states come
     out mutually orthogonal.  The clique search stops with
-    ResourceLimitError past the default node budget of 10^8.
+    ResourceLimitError past `node_budget` nodes (default 10^8).
     """
     if states.dimension < 2:
         raise ValueError("scenario generation needs dimension >= 2")
@@ -257,7 +259,7 @@ def scenario_from_states(states: PureStateSet, tol: float = TOLERANCE) -> Scenar
     adjacency = [set(np.flatnonzero(row).tolist()) for row in orthogonal]
     contexts = []
     partial_contexts = []
-    for clique in maximal_cliques(n, adjacency):
+    for clique in maximal_cliques(n, adjacency, node_budget):
         if len(clique) > states.dimension:
             raise ToleranceAmbiguityError(
                 f"orthogonality graph has a clique of {len(clique)} > d mutually "

@@ -80,7 +80,7 @@ def _klyachko(tol, budget):
 
 def _example3(tol, budget):
     states = ensembles.generate_states(FamilySpec("caves_example"))
-    generated = quantum.scenario_from_states(states, tol)
+    generated = quantum.scenario_from_states(states, tol, node_budget=budget)
     target = ensembles.generate_scenario("antidist_example")
     targets = ["a1", "a2", "a3"]
     empty = not valuefns.definite_intersection(target, targets, node_budget=budget)

@@ -113,10 +113,6 @@ def check_labels(known: Iterable[str], labels: Iterable[str]) -> None:
         raise UnknownLabelError(f"unknown outcome labels: {unknown}")
 
 
-def _label_ok(label: str) -> bool:
-    return bool(label) and not any(unicodedata.category(ch) == "Cc" for ch in label)
-
-
 def validate_scenario(s: Scenario) -> ValidationReport:
     """Check every structural rule and report all violations.
 
@@ -138,7 +134,7 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     for label in s.outcomes:
         if not label:
             violations.append(Finding("label-empty", (label,)))
-        elif not _label_ok(label):
+        elif any(unicodedata.category(ch) == "Cc" for ch in label):
             violations.append(Finding("label-control-char", (label,)))
         if label in seen:
             violations.append(Finding("label-duplicate", (label,)))

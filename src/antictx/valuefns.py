@@ -27,12 +27,13 @@ search keeps its own stack, so no scenario is too deep for it.
 
 Enumeration, definite intersections and membership build the product of the
 components' sorted mask lists, charging one node per value function built,
-so the budget also caps the list.  Classical bounds count and keep the
-heaviest value function under integer weights, building no list.  A definite
-intersection is the search with each definite outcome added as a one-outcome
-context; an antiset bound is `classical_bound` with unit coefficients.  A
-`ValueFunction` is an immutable `(labels, ones)` NamedTuple; lists of them are
-built with gc paused, as they make no cycles.  Nothing here uses a tolerance.
+so the budget also caps the list.  Counts and classical bounds are one pass
+over the components that counts and keeps the heaviest value function under
+integer weights, building no list.  A definite intersection is the search
+with each definite outcome added as a one-outcome context; an antiset bound
+is `classical_bound` with unit coefficients.  A `ValueFunction` is an
+immutable `(labels, ones)` NamedTuple; lists of them are built with gc
+paused, as they make no cycles.  Nothing here uses a tolerance.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def _best(s: Scenario, gains: Mapping[str, int], node_budget):
     """Count the value functions and find the lexicographically first one
     of maximum weight, without building the list: counts multiply over the
     components, and maxima and first maximizers add up, since components
-    share no outcome."""
+    share no outcome.  With no value function at all, (0, 0, None)."""
     count, best, best_ones = 1, 0, 0
     for leaves in _components(s, NodeBudget(node_budget, "value-function search"), gains=gains):
         part_count, part_best, part_ones = 0, None, 0
@@ -271,7 +272,7 @@ def _best(s: Scenario, gains: Mapping[str, int], node_budget):
             if part_best is None or weight > part_best or (weight == part_best and ones < part_ones):
                 part_best, part_ones = weight, ones
         if not part_count:
-            raise EmptyPolytopeError("scenario has no value functions; bound undefined")
+            return 0, 0, None
         count, best, best_ones = count * part_count, best + part_best, best_ones | part_ones
     return count, best, ValueFunction(s.outcomes, best_ones)
 
@@ -288,14 +289,8 @@ def enumerate_value_functions(
 
 
 def count_value_functions(s: Scenario, *, node_budget: int | None = None) -> int:
-    """The number of value functions, without building them: the product
-    of the components' counts."""
-    count = 1
-    for leaves in _components(s, NodeBudget(node_budget, "value-function search")):
-        count *= sum(1 for _ in leaves)
-        if not count:
-            break
-    return count
+    """The number of value functions, counted as `classical_bound` counts them."""
+    return _best(s, {}, node_budget)[0]
 
 
 def definite_intersection(
@@ -324,10 +319,13 @@ def classical_bound(
     scale = lcm(*(w.denominator for w in weights.values()))
     gains = {a: w.numerator * (scale // w.denominator) for a, w in weights.items()}
     count, best, maximizer = _best(s, gains, node_budget)
+    if not count:
+        raise EmptyPolytopeError("scenario has no value functions; bound undefined")
     return ClassicalBoundResult(Fraction(best, scale), maximizer, count)
 
 
 def _check_state(s: Scenario, state: Mapping[str, Fraction]) -> dict[str, Fraction]:
+    check_members_known(s)
     check_labels(s.outcomes, state.keys())
     full = {a: Fraction(0) for a in s.outcomes}
     for a, value in state.items():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from antictx import errors
+from antictx import errors, reproduce
 from antictx.antidist import scenario_antidistinguishable
 from antictx.antiset import find_strong_antisets
 from antictx.ensembles import FamilySpec, generate_scenario, generate_states
@@ -42,6 +42,20 @@ def test_every_search_obeys_the_default_budget(search, run, monkeypatch):
     run()  # runs to the end under the real default
     monkeypatch.setattr(errors, "DEFAULT_NODE_BUDGET", 2)
     with pytest.raises(ResourceLimitError, match=rf"^{search} exceeded 2 nodes$"):
+        run()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: reproduce._example3(1e-9, 0),
+        lambda: scenario_from_states(generate_states(FamilySpec("caves_example")), node_budget=0),
+    ],
+    ids=["reproduce-example3", "scenario-from-states"],
+)
+def test_a_given_budget_reaches_the_clique_search_of_scenario_generation(run):
+    # the clique search runs first, so it is the search that runs out
+    with pytest.raises(ResourceLimitError, match="^clique search exceeded 0 nodes$"):
         run()
 
 

@@ -1,5 +1,6 @@
 import copy
 import gc
+import inspect
 import itertools
 import pickle
 import random
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from antictx import antidist, ratlp, scenario, valuefns
 from antictx.antidist import scenario_antidistinguishable
 from antictx.ensembles import FamilySpec, generate_scenario, generate_states
 from antictx.errors import (
@@ -18,7 +20,7 @@ from antictx.errors import (
 )
 from antictx.quantum import scenario_from_states
 from antictx.ratlp import LinearProgram, solve
-from antictx.scenario import make_scenario
+from antictx.scenario import Scenario, make_scenario
 from antictx.valuefns import (
     brute_force_antiset_bound,
     classical_bound,
@@ -96,10 +98,41 @@ def test_definite_intersection_unknown_label():
         definite_intersection(generate_scenario("specker"), ["zz"])
 
 
+# the arguments after the scenario of every public question on a scenario
+_QUESTION_ARGS = {
+    "check_members_known": (),
+    "enumerate_value_functions": (),
+    "count_value_functions": (),
+    "definite_intersection": (["a"],),
+    "classical_bound": ({"a": 1},),
+    "is_noncontextual_state": ({"a": 1},),
+    "brute_force_antiset_bound": (["a"],),
+    "build_state_polytope": (),
+    "state_optimize": ({"a": 1},),
+    "state_uniqueness": (),
+    "scenario_antidistinguishable": (["a"],),
+}
+
+
+def _takes_a_scenario(f) -> bool:
+    params = list(inspect.signature(f, eval_str=True).parameters.values())
+    return bool(params) and params[0].annotation is Scenario
+
+
 def test_sets_referencing_unknown_outcomes_fail_cleanly():
+    questions = {
+        name: getattr(module, name)
+        for module in (scenario, valuefns, ratlp, antidist)
+        for name in module.__all__
+        if inspect.isfunction(getattr(module, name)) and _takes_a_scenario(getattr(module, name))
+    }
+    # these two take invalid scenarios by design
+    del questions["validate_scenario"], questions["save_scenario"]
+    assert set(questions) == set(_QUESTION_ARGS), "list the extra arguments of a new question"
     s = make_scenario(["a"], [["a", "ghost"]])
-    with pytest.raises(UnknownLabelError):
-        enumerate_value_functions(s)
+    for name, question in questions.items():
+        with pytest.raises(UnknownLabelError, match=r"^scenario sets mention unknown outcomes: \['ghost'\]$"):
+            question(s, *_QUESTION_ARGS[name])
 
 
 def test_classical_bound_klyachko_all_ones():
@@ -163,6 +196,12 @@ def test_membership_rejects_non_states():
         is_noncontextual_state(generate_scenario("classical", 2), {"x1": 1, "x2": 1})
     with pytest.raises(NotAStateError, match=r"^omega\(0\) = 3/2 lies outside \[0, 1\]$"):
         is_noncontextual_state(s, {"0": Fraction(3, 2)})
+    with pytest.raises(NotAStateError, match=r"^partial context \['0', '1'\] sums to 2 > 1$"):
+        is_noncontextual_state(s, {"0": 1, "1": 1})
+    with pytest.raises(
+        NotAStateError, match=r"^context \['a', 'b'\] sums to 1/2, expected exactly 1$"
+    ):
+        is_noncontextual_state(generate_scenario("specker"), {"a": Fraction(1, 2)})
 
 
 def test_membership_empty_polytope_verdict():
