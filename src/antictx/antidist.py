@@ -8,8 +8,9 @@ reduces to their squared pairwise overlaps (x1, x2, x3):
     (x1 + x2 + x3 - 1)^2 >= 4 * x1 * x2 * x3.
 
 The quadratic condition is tested with a small negative slack because the
-interesting families sit exactly on its boundary.  A simpler sufficient
-condition is max(x1, x2, x3) <= 1/4.
+interesting families sit exactly on its boundary.  The strict sum rejects an
+orthogonal pair whose other overlaps sum to 1, as in (1/2, 1/2, 0), though a
+basis containing the pair antidistinguishes it.  Sufficient: max(x) <= 1/4.
 
 The combinatorial counterpart replaces measurements by contexts: a set A
 of outcomes is antidistinguishable when some context M supplies a distinct
@@ -54,11 +55,21 @@ __all__ = [
 ]
 
 
+def _clamped(x1, x2, x3, tol: float) -> np.ndarray:
+    """The overlaps, broadcast and stacked, clamped to [0, 1] after `triple_criterion`'s range check."""
+    x = np.array(np.broadcast_arrays(x1, x2, x3), dtype=float)
+    bad = ~((x >= -tol) & (x <= 1.0 + tol)).reshape(3, -1).T  # one row per triple; NaN is bad too
+    if bad.any():
+        t, k = divmod(int(np.argmax(bad)), 3)
+        raise OverlapRangeError(f"x{k + 1} = {float(x.reshape(3, -1)[k, t])!r} lies outside [0, 1]")
+    return np.fmin(np.fmax(x, 0.0), 1.0)
+
+
 @dataclass(frozen=True)
 class TripleOverlaps:
     """Squared overlaps of a triple: x1 = |<a2|a3>|^2, x2 = |<a1|a3>|^2,
-    x3 = |<a1|a2>|^2.  Entries within `tol` of [0, 1] are clamped to it on
-    construction; entries further out raise OverlapRangeError."""
+    x3 = |<a1|a2>|^2.  Entries within `tol` of [0, 1] are clamped to it and
+    others raise OverlapRangeError; verdicts on the triple use `tol` too."""
 
     x1: float
     x2: float
@@ -68,12 +79,8 @@ class TripleOverlaps:
     def __post_init__(self):
         if 0.0 <= self.x1 <= 1.0 and 0.0 <= self.x2 <= 1.0 and 0.0 <= self.x3 <= 1.0:
             return  # nothing to check or clamp, and the common case
-        tol = self.tol
-        for name, x in (("x1", self.x1), ("x2", self.x2), ("x3", self.x3)):
-            if not -tol <= x <= 1.0 + tol:  # NaN fails too
-                raise OverlapRangeError(f"{name} = {x!r} lies outside [0, 1]")
-        for name in ("x1", "x2", "x3"):
-            object.__setattr__(self, name, min(1.0, max(0.0, getattr(self, name))))
+        for name, value in zip(("x1", "x2", "x3"), _clamped(self.x1, self.x2, self.x3, self.tol).tolist()):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def from_gram(g: GramData, a: str, b: str, c: str, tol: float = TOLERANCE) -> "TripleOverlaps":
@@ -89,7 +96,7 @@ class TripleOverlaps:
 @dataclass(frozen=True)
 class AntidistVerdict:
     antidistinguishable: bool
-    via: str  # "overlap-criterion" | "combinatorial" | "certificate"
+    via: str  # always "overlap-criterion"
     margin_strict: float  # 1 - x1 - x2 - x3
     margin_quadratic: float  # (x1 + x2 + x3 - 1)^2 - 4 x1 x2 x3
     boundary: bool  # quadratic condition holds with equality within tolerance
@@ -110,13 +117,14 @@ def _criterion(x1, x2, x3, tol):
     )
 
 
-def triple_antidistinguishable(x: TripleOverlaps, tol: float = TOLERANCE) -> AntidistVerdict:
-    """Decide antidistinguishability of three pure states from overlaps.
+def triple_antidistinguishable(x: TripleOverlaps) -> AntidistVerdict:
+    """Decide antidistinguishability of three pure states from overlaps, at x.tol.
 
-    The sum condition is strict (margin > tol); the quadratic condition is
-    accepted down to -tol so boundary families count as antidistinguishable.
+    The sum condition is strict (margin > tol): (1/2, 1/2, 0) fails it, though
+    a basis containing its orthogonal pair antidistinguishes it.  The quadratic
+    condition is accepted down to -tol, so boundary families pass.
     """
-    margin_strict, margin_quadratic, ok, boundary = _criterion(x.x1, x.x2, x.x3, tol)
+    margin_strict, margin_quadratic, ok, boundary = _criterion(x.x1, x.x2, x.x3, x.tol)
     return AntidistVerdict(ok, "overlap-criterion", margin_strict, margin_quadratic, boundary)
 
 
@@ -129,21 +137,13 @@ def triple_criterion(x1, x2, x3, tol: float = TOLERANCE):
     arrays (margin_strict, margin_quadratic, antidistinguishable, boundary),
     equal entry by entry to the scalar verdicts.
     """
-    x = np.array(np.broadcast_arrays(x1, x2, x3), dtype=float)
-    bad = ~((x >= -tol) & (x <= 1.0 + tol))  # NaN is bad too
-    if bad.any():
-        flat = bad.reshape(3, -1)
-        t = int(np.argmax(flat.any(axis=0)))
-        k = int(np.argmax(flat[:, t]))
-        raise OverlapRangeError(f"x{k + 1} = {float(x.reshape(3, -1)[k, t])!r} lies outside [0, 1]")
-    # fmax/fmin clamp like the scalar min/max
-    x = np.fmin(np.fmax(x, 0.0), 1.0)
+    x = _clamped(x1, x2, x3, tol)
     return _criterion(x[0], x[1], x[2], tol)
 
 
-def corollary_check(x: TripleOverlaps, tol: float = TOLERANCE) -> bool:
-    """Sufficient condition only: every squared overlap at most 1/4."""
-    return max(x.x1, x.x2, x.x3) <= 0.25 + tol
+def corollary_check(x: TripleOverlaps) -> bool:
+    """Sufficient condition only: every squared overlap at most 1/4 + x.tol."""
+    return max(x.x1, x.x2, x.x3) <= 0.25 + x.tol
 
 
 @dataclass(frozen=True)

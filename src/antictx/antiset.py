@@ -131,7 +131,7 @@ def _verified(
     log = []
     for a, b in itertools.combinations(w, 2):
         for c in ordered:
-            verdict = triple_antidistinguishable(TripleOverlaps.from_gram(g, a, b, c, tol=tol), tol)
+            verdict = triple_antidistinguishable(TripleOverlaps.from_gram(g, a, b, c, tol=tol))
             if not verdict.antidistinguishable:
                 raise FailedTripleError((a, b, c), verdict)
             log.append((a, b, c, verdict))

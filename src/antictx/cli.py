@@ -161,7 +161,8 @@ def _cmd_membership(args) -> CommandResult:
 
 def _cmd_quantum_scenario(args) -> CommandResult:
     states = quantum.load_states(_read(args.vectors), args.tolerance)
-    return _document(scenario.save_scenario(quantum.scenario_from_states(states, args.tolerance)))
+    s = quantum.scenario_from_states(states, args.tolerance, node_budget=args.node_budget)
+    return _document(scenario.save_scenario(s))
 
 
 def _cmd_check_anti(args) -> CommandResult:
@@ -179,8 +180,8 @@ def _cmd_check_anti(args) -> CommandResult:
         states = quantum.load_states(_read(args.vectors), tol)
         x = antidist.TripleOverlaps.from_states(states, *args.triple, tol=tol)
         extra = {"overlaps": [x.x1, x.x2, x.x3]}
-    verdict = antidist.triple_antidistinguishable(x, tol)
-    payload = {**asdict(verdict), **extra, "sufficient_condition": antidist.corollary_check(x, tol)}
+    verdict = antidist.triple_antidistinguishable(x)
+    payload = {**asdict(verdict), **extra, "sufficient_condition": antidist.corollary_check(x)}
     return CommandResult(EXIT_OK if verdict.antidistinguishable else EXIT_NEGATIVE, payload)
 
 
@@ -335,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--state", required=True)
 
-    p = command("quantum-scenario", _cmd_quantum_scenario, "scenario from a vector set", tol)
+    p = command("quantum-scenario", _cmd_quantum_scenario, "scenario from a vector set", tol, budget)
     p.add_argument("vectors")
 
     p = command("check-anti", _cmd_check_anti, "antidistinguishability checks", tol)

@@ -48,10 +48,6 @@ class Scenario:
     contexts: tuple[frozenset[str], ...] = ()
     partial_contexts: tuple[frozenset[str], ...] = ()
 
-    @property
-    def outcome_set(self) -> frozenset[str]:
-        return frozenset(self.outcomes)
-
     def all_sets(self) -> tuple[frozenset[str], ...]:
         """Contexts followed by partial contexts."""
         return self.contexts + self.partial_contexts
@@ -74,10 +70,8 @@ class ValidationReport:
         return not self.violations
 
 
-def _sorted_sets(sets: Iterable[Iterable[str]]) -> tuple[frozenset[str], ...]:
-    # dedup, then order by the sorted member list
-    unique = {frozenset(s) for s in sets}
-    return tuple(sorted(unique, key=lambda s: sorted(s)))
+def _sorted_sets(sets: Iterable[frozenset[str]]) -> tuple[frozenset[str], ...]:
+    return tuple(sorted(sets, key=sorted))  # by the sorted member list, repeats kept
 
 
 def make_scenario(
@@ -90,18 +84,17 @@ def make_scenario(
     Validation is a separate concern (`validate_scenario`), so candidates
     that break the structural rules can still be constructed and inspected.
     """
-    seen = dict.fromkeys(outcomes)
     return Scenario(
-        outcomes=tuple(sorted(seen)),
-        contexts=_sorted_sets(contexts),
-        partial_contexts=_sorted_sets(partial_contexts),
+        outcomes=tuple(sorted(set(outcomes))),
+        contexts=_sorted_sets({frozenset(m) for m in contexts}),
+        partial_contexts=_sorted_sets({frozenset(n) for n in partial_contexts}),
     )
 
 
 def check_members_known(s: Scenario) -> None:
     """Raise UnknownLabelError when a (partial) context names an outcome
     missing from the outcome list."""
-    stray = sorted({a for m in s.all_sets() for a in m} - s.outcome_set)
+    stray = sorted({a for m in s.all_sets() for a in m} - set(s.outcomes))
     if stray:
         raise UnknownLabelError(f"scenario sets mention unknown outcomes: {stray}")
 
@@ -120,6 +113,7 @@ def validate_scenario(s: Scenario) -> ValidationReport:
 
     - ``label-empty`` / ``label-control-char`` / ``label-duplicate``
     - ``empty-set``: a context or partial context with no elements
+    - ``set-duplicate``: a context or partial context listed twice
     - ``outcome-unknown``: a set member missing from the outcome list
     - ``context-antichain`` / ``partial-context-antichain``
     - ``M-not-in-N``: a context also listed as a partial context
@@ -130,24 +124,27 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     violations: list[Finding] = []
     warnings: list[Finding] = []
 
-    seen: set[str] = set()
+    known: set[str] = set()
     for label in s.outcomes:
         if not label:
             violations.append(Finding("label-empty", (label,)))
         elif any(unicodedata.category(ch) == "Cc" for ch in label):
             violations.append(Finding("label-control-char", (label,)))
-        if label in seen:
+        if label in known:
             violations.append(Finding("label-duplicate", (label,)))
-        seen.add(label)
+        known.add(label)
 
-    known = set(s.outcomes)
     for family_name, family in (("context", s.contexts), ("partial-context", s.partial_contexts)):
+        listed: set[frozenset[str]] = set()
         for members in family:
             if not members:
                 violations.append(Finding("empty-set", (family_name,)))
             unknown = sorted(m for m in members if m not in known)
             if unknown:
                 violations.append(Finding("outcome-unknown", (family_name, tuple(unknown))))
+            if members in listed:
+                violations.append(Finding("set-duplicate", (family_name, tuple(sorted(members)))))
+            listed.add(members)
 
     def antichain(rule: str, family: tuple[frozenset[str], ...]) -> None:
         for i, a in enumerate(family):
@@ -204,8 +201,8 @@ def write_document(doc: dict) -> bytes:
 def parse_scenario(source: bytes | str | IO) -> Scenario:
     """Parse a scenario document without validating its structure.
 
-    Raises ScenarioParseError on malformed input.  The result may violate
-    the structural rules; run `validate_scenario` to find out.
+    Raises ScenarioParseError on malformed input, such as a set naming one
+    outcome twice.  Repeated labels and sets are kept for `validate_scenario`.
     """
     doc = read_document(source)
     unknown = set(doc) - _SCENARIO_KEYS
@@ -215,17 +212,17 @@ def parse_scenario(source: bytes | str | IO) -> Scenario:
         raise ScenarioParseError("missing required key 'outcomes'")
 
     outcomes = _parse_label_list(doc["outcomes"], "outcomes")
-    families = {}
+    families = []
     for key in ("contexts", "partial_contexts"):
         value = doc.get(key, [])
         if not isinstance(value, list):
             raise ScenarioParseError(f"{key} must be a list of lists")
-        families[key] = [_parse_label_list(x, f"{key} entry") for x in value]
-
-    s = make_scenario(outcomes, families["contexts"], families["partial_contexts"])
-    if len(s.outcomes) < len(outcomes):  # keep a repeated label for validation to report
-        s = Scenario(tuple(sorted(outcomes)), s.contexts, s.partial_contexts)
-    return s
+        sets = [frozenset(_parse_label_list(x, f"{key} entry")) for x in value]
+        for x, members in zip(value, sets):
+            if len(members) < len(x):  # a frozenset cannot carry the repeat to validation
+                raise ScenarioParseError(f"{key} entry {x} names {next(a for a in x if x.count(a) > 1)!r} twice")
+        families.append(_sorted_sets(sets))
+    return Scenario(tuple(sorted(outcomes)), *families)
 
 
 def load_scenario(source: bytes | str | IO) -> Scenario:

@@ -183,13 +183,13 @@ def test_criterion_7_mub():
             assert abs(report.lhs - 6.0) <= TOL
             assert report.violated
         assert triple_antidistinguishable(
-            TripleOverlaps(0.25, 0.25, 0.25), tol=TOL
+            TripleOverlaps(0.25, 0.25, 0.25, TOL)
         ).antidistinguishable
         assert triple_antidistinguishable(
-            TripleOverlaps(0.2, 0.2, 0.2), tol=TOL
+            TripleOverlaps(0.2, 0.2, 0.2, TOL)
         ).antidistinguishable
         assert not triple_antidistinguishable(
-            TripleOverlaps(1 / 3, 1 / 3, 1 / 3), tol=TOL
+            TripleOverlaps(1 / 3, 1 / 3, 1 / 3, TOL)
         ).antidistinguishable
 
 
@@ -236,10 +236,8 @@ def test_criterion_10a_sufficient_condition_implies_criterion():
         rng = random.Random(100)
         counterexamples = 0
         for _ in range(100_000):
-            x = TripleOverlaps(rng.random(), rng.random(), rng.random())
-            if corollary_check(x, tol=TOL) and not triple_antidistinguishable(
-                x, tol=TOL
-            ).antidistinguishable:
+            x = TripleOverlaps(rng.random(), rng.random(), rng.random(), TOL)
+            if corollary_check(x) and not triple_antidistinguishable(x).antidistinguishable:
                 counterexamples += 1
         assert counterexamples == 0
 
@@ -301,7 +299,7 @@ def test_criterion_10e_permutation_invariance():
         for _ in range(10_000):
             values = (rng.random(), rng.random(), rng.random())
             verdicts = {
-                triple_antidistinguishable(TripleOverlaps(*p), tol=TOL).antidistinguishable
+                triple_antidistinguishable(TripleOverlaps(*p, TOL)).antidistinguishable
                 for p in itertools.permutations(values)
             }
             assert len(verdicts) == 1

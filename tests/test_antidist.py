@@ -89,6 +89,13 @@ def test_overlaps_report_their_tolerance():
     assert TripleOverlaps(1.0, 0.0, 0.0, 1e-6) == TripleOverlaps(1.0, 0.0, 0.0)
 
 
+def test_verdicts_use_the_tolerance_the_overlaps_carry():
+    assert triple_antidistinguishable(TripleOverlaps(0.4998, 0.4997, 0.0)).antidistinguishable
+    assert not triple_antidistinguishable(TripleOverlaps(0.4998, 0.4997, 0.0, 1e-3)).antidistinguishable
+    assert corollary_check(TripleOverlaps(0.2505, 0.25, 0.25, 1e-3))
+    assert not corollary_check(TripleOverlaps(0.2505, 0.25, 0.25))
+
+
 def _family_triples():
     """Overlaps (x1, x2, x3) of every (pair, principal outcome) triple of
     the Yu-Oh, Hadamard d=4 and MUB d=3 and d=5 antisets."""
@@ -122,7 +129,7 @@ def test_array_criterion_equals_scalar_verdicts():
     assert ok.dtype == bool and boundary.dtype == bool
     assert boundary.sum() > 100 and ok.any() and not ok.all()
     for t, triple in enumerate(triples):
-        verdict = triple_antidistinguishable(TripleOverlaps(*map(float, triple), tol), tol)
+        verdict = triple_antidistinguishable(TripleOverlaps(*map(float, triple), tol))
         assert verdict.antidistinguishable == ok[t]
         assert verdict.boundary == boundary[t]
         assert verdict.margin_strict == strict[t]
@@ -131,7 +138,7 @@ def test_array_criterion_equals_scalar_verdicts():
     loose = triple_criterion(x[:, :1], x[:1, 1:], 0.3, 1e-3)
     assert loose[0].shape == (len(triples), 2)
     for t, k in ((0, 0), (7, 1), (len(triples) - 1, 1)):
-        verdict = triple_antidistinguishable(TripleOverlaps(float(x[t, 0]), float(x[0, 1 + k]), 0.3, 1e-3), 1e-3)
+        verdict = triple_antidistinguishable(TripleOverlaps(float(x[t, 0]), float(x[0, 1 + k]), 0.3, 1e-3))
         assert (verdict.margin_strict, verdict.margin_quadratic) == (loose[0][t, k], loose[1][t, k])
         assert (verdict.antidistinguishable, verdict.boundary) == (loose[2][t, k], loose[3][t, k])
 

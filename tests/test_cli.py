@@ -54,6 +54,35 @@ def test_loading_a_repeated_label_is_a_validation_error(tmp_path):
     assert result.payload["error"] == "validation"
 
 
+REPEATED_MEMBER = {"outcomes": ["a", "b"], "contexts": [["a", "a", "b"]]}
+REPEATED_SETS = {"outcomes": ["a", "b", "c"], "contexts": [["a", "b"], ["b", "a"]],
+                 "partial_contexts": [["c", "a"], ["a", "c"]]}
+
+
+@pytest.mark.parametrize("command", [["validate"], ["value-functions", "--count-only"]])
+def test_a_set_naming_one_outcome_twice_is_a_parse_error(command, tmp_path):
+    result = dispatch([*command, _write_json(tmp_path, "s.json", REPEATED_MEMBER)])
+    assert result.exit_code == 2
+    assert result.payload["error"] == "ScenarioParseError"
+    assert result.payload["message"] == "contexts entry ['a', 'a', 'b'] names 'a' twice"
+
+
+def test_validate_reports_a_set_listed_twice(tmp_path):
+    result = dispatch(["validate", _write_json(tmp_path, "s.json", REPEATED_SETS)])
+    assert result.exit_code == 1
+    assert result.payload["violations"] == [
+        {"rule": "set-duplicate", "subjects": ["context", ["a", "b"]]},
+        {"rule": "set-duplicate", "subjects": ["partial-context", ["a", "c"]]},
+    ]
+
+
+def test_loading_a_set_listed_twice_is_a_validation_error(tmp_path):
+    result = dispatch(["value-functions", "--count-only", _write_json(tmp_path, "s.json", REPEATED_SETS)])
+    assert result.exit_code == 2
+    assert result.payload["error"] == "validation"
+    assert [v["rule"] for v in result.payload["violations"]] == ["set-duplicate", "set-duplicate"]
+
+
 def test_missing_file_is_usage_error():
     assert dispatch(["validate", "/nonexistent/path.json"]).exit_code == 2
 
@@ -333,7 +362,7 @@ GRAMMAR = [
     (["classical-bound", "s.json", "--coeffs", "ones"], ("--node-budget",)),
     (["state-bound", "s.json", "--coeffs", "ones"], ()),
     (["membership", "s.json", "--state", "p.json"], ("--node-budget",)),
-    (["quantum-scenario", "v.json"], ("--tolerance",)),
+    (["quantum-scenario", "v.json"], ("--tolerance", "--node-budget")),
     (["check-anti", "--overlaps", "0,0,0"], ("--tolerance",)),
     (["antiset", "verify", "v.json", "--members", "a,b", "--principal", "c"], ("--tolerance",)),
     (["antiset", "find", "v.json", "--members", "a,b", "--principal", "c"], ("--tolerance", "--node-budget")),
@@ -364,7 +393,6 @@ def test_each_command_takes_only_the_flags_it_reads(argv, flags, flag, value, de
     "argv",
     [
         ["state-bound", "{fx}/klyachko.json", "--coeffs", "ones", "--node-budget", "0"],
-        ["quantum-scenario", "{fx}/yu_oh_all.json", "--node-budget", "0"],
         ["validate", "{fx}/klyachko.json", "--tolerance", "0.5"],
         ["antiset", "verify", "{fx}/yu_oh_all.json", "--members", "a1,a2,a3,a4", "--principal", "c1,c2,c3",
          "--node-budget", "0"],
@@ -811,6 +839,12 @@ def test_vector_labels_must_be_strings(tmp_path):
     doc = _unit_pairs(2)
     doc["states"][0]["label"] = 5
     assert dispatch(["quantum-scenario", _write_json(tmp_path, "v.json", doc)]).exit_code == 2
+
+
+def test_node_budget_reaches_the_clique_search_of_quantum_scenario(fixtures_dir):
+    result = dispatch(["quantum-scenario", fx(fixtures_dir, "yu_oh_all.json"), "--node-budget", "0"])
+    assert result.exit_code == 3
+    assert result.payload["message"] == "clique search exceeded 0 nodes"
 
 
 def test_tolerance_reaches_the_overlap_range_check():

@@ -1,10 +1,15 @@
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+from antictx import scenario
 from antictx.errors import ScenarioParseError, ScenarioValidationError
 from antictx.scenario import (
+    Finding,
+    Scenario,
     load_scenario,
     make_scenario,
     parse_scenario,
@@ -132,6 +137,22 @@ def test_duplicates_are_dropped():
     s = make_scenario(["a", "a", "b"], [["a", "b"], ["b", "a"]])
     assert s.outcomes == ("a", "b")
     assert len(s.contexts) == 1
+
+
+def test_a_set_listed_twice_is_reported_once_per_repeat():
+    ab, bc = frozenset("ab"), frozenset("bc")
+    s = Scenario(("a", "b", "c"), (ab, bc, ab))  # unsorted, the repeat not beside its first
+    report = validate_scenario(s)
+    assert report.violations == (Finding("set-duplicate", ("context", ("a", "b"))),)
+    assert validate_scenario(make_scenario(s.outcomes, s.contexts, s.partial_contexts)).valid
+
+
+def test_every_rule_emitted_is_documented():
+    source = Path(scenario.__file__).read_text()
+    emitted = set(re.findall(r'Finding\("([^"]+)"', source))
+    assert {"label-duplicate", "set-duplicate", "partial-context-inside-context"} <= emitted
+    for rule in emitted:
+        assert f"``{rule}``" in validate_scenario.__doc__, rule
 
 
 SCENARIO_FIXTURES = ("specker.json", "klyachko.json", "antidist_example.json", "no_state.json")
