@@ -10,11 +10,11 @@ outcome instead.  Verified antisets yield the inequality
 for noncontextual states: state-independent in the strong case, and
 conditional on omega(principal) = 1 in the weak case.  Triples are always
 checked through the overlap criterion on Gram data; no antidistinguishing
-measurement is ever constructed.  One routine verifies both kinds, deciding
-and logging one triple at a time, in lexicographic order.  The search for
-maximal antisets decides every (pair from the pool) x (principal outcome)
-triple at once, with the array form of the criterion on one Gram matrix,
-and puts each clique's triple log together from the logs of its pairs.
+measurement is ever constructed.  One routine verifies both kinds one triple
+at a time, in lexicographic order; the search for maximal antisets decides
+every (pair from the pool) x (principal outcome) triple at once, by the array
+form of the criterion on one Gram matrix.  Either way the log is a
+`TripleLog`: verdict columns whose entries are built only when read.
 
 Inequalities can be combined: added together, extended by a context
 normalization (which raises the bound by exactly 1 for every state), or
@@ -25,9 +25,11 @@ follows from the side constraints, which every constructor sorts by label.
 from __future__ import annotations
 
 import itertools
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from .ratlp import format_rational, parse_rational
 from .scenario import read_document, write_document
 
 __all__ = [
+    "TripleLog",
     "PairwiseAntiset",
     "NoncontextualityInequality",
     "EvaluationReport",
@@ -61,7 +64,48 @@ __all__ = [
     "load_inequality",
 ]
 
-TripleLogEntry = tuple[str, str, str, AntidistVerdict]
+# triples per criterion block and per chunk of built log entries: temporaries stay small
+_BLOCK = 4096
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class TripleLog(Sequence):
+    """(a, b, c, AntidistVerdict) entries, kept as one column per verdict field.
+
+    Entry k is triple k of product(combinations(members, 2), principal), both
+    sorted; entries are built only when read, iteration one _BLOCK at a time."""
+
+    members: tuple[str, ...]
+    principal: tuple[str, ...]
+    margin_strict: np.ndarray  # float
+    margin_quadratic: np.ndarray  # float
+    antidistinguishable: np.ndarray  # bool
+    boundary: np.ndarray  # bool
+
+    _columns = property(lambda log: (log.margin_strict, log.margin_quadratic, log.antidistinguishable, log.boundary))
+
+    def __len__(self) -> int:
+        return len(self.margin_strict)
+
+    def __iter__(self) -> Iterator[tuple[str, str, str, AntidistVerdict]]:
+        triples = itertools.product(itertools.combinations(self.members, 2), self.principal)
+        for start in range(0, len(self), _BLOCK):
+            values = zip(*(column[start : start + _BLOCK].tolist() for column in self._columns))
+            for (strict, quadratic, ok, bd), ((a, b), c) in zip(values, triples):  # no triple past values
+                yield a, b, c, AntidistVerdict(ok, "overlap-criterion", strict, quadratic, bd)
+
+    def __getitem__(self, index: int) -> tuple[str, str, str, AntidistVerdict]:
+        k = range(len(self))[index]  # IndexError past either end
+        pair, c = divmod(k, len(self.principal))
+        a, b = next(itertools.islice(itertools.combinations(self.members, 2), pair, None))
+        return next(iter(TripleLog((a, b), self.principal[c : c + 1], *(x[k : k + 1] for x in self._columns))))
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, TripleLog) and (self.members, self.principal) == (other.members, other.principal)
+        return same and all(map(np.array_equal, self._columns, other._columns))
+
+    def __hash__(self) -> int:
+        return hash((self.members, self.principal, len(self)))
 
 
 @dataclass(frozen=True)
@@ -69,12 +113,12 @@ class PairwiseAntiset:
     kind: str  # "strong" | "weak"
     members: tuple[str, ...]
     principal: tuple[str, ...] | str
-    triple_log: tuple[TripleLogEntry, ...]
+    triple_log: TripleLog
 
     @property
     def boundary_triples(self) -> int:
         """How many logged triples meet the overlap criterion with equality."""
-        return sum(1 for *_, v in self.triple_log if v.boundary)
+        return int(self.triple_log.boundary.sum())
 
 
 @dataclass(frozen=True)
@@ -120,29 +164,27 @@ def _verified(
     w = tuple(sorted(set(members)))
     if len(w) < 2:
         raise ValueError("an antiset needs at least two members")
-    overlap = set(w) & set(principal)
-    if overlap:
+    if overlap := set(w) & set(principal):
         noun = "principal context" if strong else "principal"
         raise ValueError(f"members and {noun} overlap: {sorted(overlap)}")
     if strong:
         _check_basis(states, principal, tol)
     g = gram(states.subset(w + principal))  # raises UnknownLabelError on an absent label
-    ordered = sorted(principal)
-    log = []
+    ordered = tuple(sorted(principal))
+    margins, flags = array("d"), array("B")  # two entries per triple
     for a, b in itertools.combinations(w, 2):
         for c in ordered:
             verdict = triple_antidistinguishable(TripleOverlaps.from_gram(g, a, b, c, tol=tol))
             if not verdict.antidistinguishable:
                 raise FailedTripleError((a, b, c), verdict)
-            log.append((a, b, c, verdict))
-    return PairwiseAntiset(kind, w, principal if strong else principal[0], tuple(log))
+            margins.extend((verdict.margin_strict, verdict.margin_quadratic))
+            flags.extend((verdict.antidistinguishable, verdict.boundary))
+    columns = *np.frombuffer(margins).reshape(-1, 2).T, *np.frombuffer(flags, bool).reshape(-1, 2).T
+    return PairwiseAntiset(kind, w, principal if strong else principal[0], TripleLog(w, ordered, *columns))
 
 
 def verify_strong_antiset(
-    states: PureStateSet,
-    members: Iterable[str],
-    principal: Sequence[str],
-    tol: float = TOLERANCE,
+    states: PureStateSet, members: Iterable[str], principal: Sequence[str], tol: float = TOLERANCE
 ) -> PairwiseAntiset:
     """Check every (pair from W) x (principal basis element) triple.
 
@@ -153,54 +195,35 @@ def verify_strong_antiset(
 
 
 def verify_weak_antiset(
-    states: PureStateSet,
-    members: Iterable[str],
-    principal: str,
-    tol: float = TOLERANCE,
+    states: PureStateSet, members: Iterable[str], principal: str, tol: float = TOLERANCE
 ) -> PairwiseAntiset:
     """Check every pair from W against the single principal outcome."""
     return _verified("weak", states, members, (principal,), tol)
 
 
-# triples per block of the criterion table: a block's temporaries stay small
-_BLOCK = 4096
-
-
-def _compatible_pair_logs(
-    labels: Sequence[str], o: np.ndarray, n: int, cols: Sequence[int], tol: float
-) -> dict[tuple[int, int], tuple[TripleLogEntry, ...]]:
-    """The triple logs of the pairs i < j < n that pass with every column.
-
-    The triples (labels[i], labels[j], labels[c]), c in `cols`, are decided
-    by `triple_criterion` on the Gram matrix `o` (x1 = o[j, c], x2 = o[i, c],
-    x3 = o[i, j]) in blocks of about _BLOCK triples, in pair order; a pair's
-    log lists its triples in `cols` order.
-    """
-    names = [labels[c] for c in cols]
+def _compatible_pair_logs(o: np.ndarray, n: int, cols: Sequence[int], tol: float) -> tuple[np.ndarray, list]:
+    """Each pair i < j < n's row (rows[i, j] = rows[j, i]; -1 unless it passes with
+    every column of `cols`) and the criterion table's verdict-field columns, a row
+    per passing pair and an entry per column.  Triples (i, j, c) are decided on
+    `o` (x1 = o[j, c], x2 = o[i, c], x3 = o[i, j]) in blocks of about _BLOCK."""
     oc = o[:, cols]  # each block gathers its pair rows from this (n + k) x k matrix
     pairs = np.transpose(np.triu_indices(n, 1))
-    logs = {}
     step = max(1, _BLOCK // len(cols))
-    for start in range(0, len(pairs), step):
-        block = pairs[start : start + step]
-        first, second = block.T
+    blocks = []
+    for start in range(0, max(len(pairs), 1), step):  # one block even when there is no pair
+        first, second = pairs[start : start + step].T
         verdicts = triple_criterion(oc[second], oc[first], o[first, second][:, None], tol)
-        table = [x.tolist() for x in verdicts]
-        for (i, j), strict, quadratic, ok, boundary in zip(block.tolist(), *table):
-            if all(ok):
-                a, b = labels[i], labels[j]
-                logs[i, j] = tuple(
-                    (a, b, c, AntidistVerdict(True, "overlap-criterion", ms, mq, bd))
-                    for c, ms, mq, bd in zip(names, strict, quadratic, boundary)
-                )
-    return logs
+        passed = verdicts[2].all(axis=1)
+        blocks.append([passed, *(x[passed] for x in verdicts)])
+    passed, *table = (np.concatenate(x) for x in zip(*blocks))
+    i, j = pairs[passed].T
+    rows = np.full((n, n), -1)
+    rows[i, j] = rows[j, i] = np.arange(len(i))
+    return rows, table
 
 
 def find_strong_antisets(
-    states: PureStateSet,
-    candidate_pool: Iterable[str],
-    principal: Sequence[str],
-    tol: float = TOLERANCE,
+    states: PureStateSet, candidate_pool: Iterable[str], principal: Sequence[str], tol: float = TOLERANCE,
     node_budget: int | None = None,
 ) -> list[PairwiseAntiset]:
     """Maximal strong antisets within a candidate pool.
@@ -208,37 +231,35 @@ def find_strong_antisets(
     Builds the pairwise-compatibility graph (an edge when all basis triples
     pass) and returns its maximal cliques of size >= 2 in canonical order.
     One Gram matrix of pool and principal context serves the duplicate
-    check and every triple; each clique's triple log is put together from
-    the logs of its pairs, in the order `verify_strong_antiset` gives.  Raises
+    check and every triple; each clique's triple log gathers its pairs' rows
+    of the criterion table, in the order `verify_strong_antiset` gives.  Raises
     DuplicateRayError when two pool states are the same ray, and
     ResourceLimitError when the clique search visits more than
     `node_budget` nodes (default 10^8).
     """
     pool = tuple(sorted(set(candidate_pool)))
     principal = tuple(principal)
-    overlap = set(pool) & set(principal)
-    if overlap:
+    if overlap := set(pool) & set(principal):
         raise ValueError(f"pool and principal context overlap: {sorted(overlap)}")
     _check_basis(states, principal, tol)
     labels = pool + principal
     o = gram(states.subset(labels)).overlaps
     n = len(pool)
-    same = _first_pair(o[:n, :n] >= 1.0 - tol)
-    if same:
+    if same := _first_pair(o[:n, :n] >= 1.0 - tol):
         i, j = same
         raise DuplicateRayError(f"pool states {pool[i]!r} and {pool[j]!r} are the same ray")
     cols = sorted(range(n, len(labels)), key=labels.__getitem__)
-    pair_logs = _compatible_pair_logs(labels, o, n, cols, tol)
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-    for i, j in pair_logs:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    antisets = []
-    for clique in maximal_cliques(n, adjacency, node_budget):
-        if len(clique) < 2:
-            continue
-        log = tuple(e for pair in itertools.combinations(clique, 2) for e in pair_logs[pair])
-        antisets.append(PairwiseAntiset("strong", tuple(pool[i] for i in clique), principal, log))
+    rows, table = _compatible_pair_logs(o, n, cols, tol)
+    adjacency = [set(np.flatnonzero(row >= 0).tolist()) for row in rows]
+    cliques = [clique for clique in maximal_cliques(n, adjacency, node_budget) if len(clique) >= 2]
+    gathered = rows.take([i * n + j for clique in cliques for i, j in itertools.combinations(clique, 2)])
+    columns = [column[gathered].reshape(-1) for column in table]  # every log, one after another
+    antisets, stop = [], 0
+    for clique in cliques:
+        members = tuple(pool[i] for i in clique)
+        start, stop = stop, stop + len(cols) * len(clique) * (len(clique) - 1) // 2
+        log = TripleLog(members, tuple(sorted(principal)), *(column[start:stop] for column in columns))
+        antisets.append(PairwiseAntiset("strong", members, principal, log))
     return antisets
 
 

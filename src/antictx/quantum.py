@@ -175,7 +175,10 @@ class GramData:
 
     def overlap(self, a: str, b: str) -> float:
         index, rows = self._lookup
-        return rows[index[a]][index[b]]
+        try:
+            return rows[index[a]][index[b]]
+        except KeyError as exc:
+            raise UnknownLabelError(f"unknown state label {exc.args[0]!r}") from None
 
 
 def _first_pair(mask: np.ndarray) -> tuple[int, int] | None:

@@ -23,7 +23,7 @@ from antictx.errors import (
     ScenarioParseError,
     UnknownLabelError,
 )
-from antictx.quantum import PureStateSet, gram, scenario_from_states
+from antictx.quantum import PureStateSet, gram, load_states, scenario_from_states
 from antictx.scenario import make_scenario, validate_scenario
 
 from helpers import naive_antidistinguishable, random_scenario
@@ -342,6 +342,13 @@ def test_unknown_labels_and_empty_set():
         scenario_antidistinguishable(s, ["zz"])
     with pytest.raises(UnknownLabelError):
         scenario_antidistinguishable(s, [])
+
+
+def test_overlaps_from_gram_name_an_unknown_label(fixtures_dir):
+    g = gram(load_states((fixtures_dir / "yu_oh_all.json").read_bytes()))
+    for triple in [("a1", "a2", "zz"), ("zz", "a1", "a2")]:
+        with pytest.raises(UnknownLabelError, match=r"^unknown state label 'zz'$"):
+            TripleOverlaps.from_gram(g, *triple)
 
 
 def _blocked_by_all_but_one(n: int):

@@ -1,13 +1,17 @@
+import gc
 import itertools
 import json
 import math
 import re
+import tracemalloc
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from antictx.antiset import (
+    TripleLog,
     add_constrained_outcome,
     add_context_normalization,
     add_inequality,
@@ -32,7 +36,7 @@ from antictx.errors import (
     ScenarioParseError,
     UnknownLabelError,
 )
-from antictx.quantum import DensityOperator, PureStateSet, scenario_from_states
+from antictx.quantum import DensityOperator, PureStateSet, gram, scenario_from_states
 from antictx.ratlp import build_state_polytope, solve
 from antictx.valuefns import enumerate_value_functions
 
@@ -181,6 +185,96 @@ def test_permuting_members_leaves_results_unchanged():
     assert a.members == b.members
     assert a.triple_log == b.triple_log
     assert inequality_from_antiset(a) == inequality_from_antiset(b)
+
+
+# ------------------------------------------------------------- triple logs
+
+
+def _mub_antiset_input(d):
+    states = generate_states(FamilySpec("mub", d))
+    principal = [f"a1_{k}" for k in range(1, d + 1)]
+    return states, [a for a in states.labels if a not in principal], principal
+
+
+def _log_inputs():
+    rays, basis, combined = yu_oh_combined()
+    maroney = generate_states(FamilySpec("maroney", 5))
+    return [
+        pytest.param(verify_strong_antiset, combined, rays.labels, basis.labels, id="yu_oh"),
+        pytest.param(verify_strong_antiset, *_mub_antiset_input(5), id="mub5"),
+        pytest.param(verify_weak_antiset, maroney, [f"a{j}" for j in range(1, 5)], "c", id="maroney5"),
+    ]
+
+
+@pytest.mark.parametrize("verify, states, members, principal", _log_inputs())
+def test_triple_log_lists_the_scalar_verdicts(verify, states, members, principal):
+    aset = verify(states, members, principal)
+    outcomes = (principal,) if isinstance(principal, str) else tuple(principal)
+    g = gram(states.subset(aset.members + outcomes))
+    expected = [
+        (a, b, c, triple_antidistinguishable(TripleOverlaps.from_gram(g, a, b, c)))
+        for (a, b), c in itertools.product(itertools.combinations(sorted(members), 2), sorted(outcomes))
+    ]
+    assert isinstance(aset.triple_log, TripleLog) and isinstance(aset.triple_log, Sequence)
+    assert list(aset.triple_log) == expected
+    assert len(aset.triple_log) == len(expected)
+    assert aset.boundary_triples == sum(v.boundary for *_, v in expected)
+
+
+def test_triple_log_indexing_agrees_with_iteration_across_chunks():
+    aset = verify_strong_antiset(*_mub_antiset_input(7))
+    log = aset.triple_log
+    entries = list(log)
+    assert len(log) == len(entries) == 8232  # two chunk boundaries inside
+    for k in [0, 1, 6, 7, 4095, 4096, 8191, 8192, 8231]:
+        assert log[k] == entries[k]
+        assert log[k - 8232] == entries[k]
+    for k in [8232, -8233, 10**6]:
+        with pytest.raises(IndexError):
+            log[k]
+    assert aset.boundary_triples == sum(v.boundary for *_, v in entries)
+
+
+def test_triple_logs_compare_and_hash_by_content():
+    rays, basis, combined = yu_oh_combined()
+    a = verify_strong_antiset(combined, ["a1", "a2", "a3", "a4"], basis.labels)
+    b = verify_strong_antiset(combined, ["a4", "a2", "a1", "a3"], basis.labels[::-1])
+    assert a.triple_log is not b.triple_log
+    assert a.triple_log == b.triple_log and hash(a.triple_log) == hash(b.triple_log)
+    assert hash(verify_strong_antiset(combined, ["a3", "a1", "a4", "a2"], basis.labels)) == hash(a)
+    assert len({a, verify_strong_antiset(combined, ["a4", "a3", "a2", "a1"], basis.labels)}) == 1
+    (found,) = find_strong_antisets(combined, rays.labels, basis.labels)
+    assert [e[:3] for e in found.triple_log] == [e[:3] for e in a.triple_log]
+    smaller = verify_strong_antiset(combined, ["a1", "a2", "a3"], basis.labels)
+    assert smaller.triple_log != a.triple_log and smaller != a
+
+
+def _bytes_held_per_triple(run):
+    run()  # first-call caches are not the log's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    antisets = result if isinstance(result, list) else [result]
+    return held / sum(len(a.triple_log) for a in antisets)
+
+
+def test_a_verified_antiset_holds_under_40_bytes_per_triple():
+    states, members, principal = _mub_antiset_input(7)
+    assert _bytes_held_per_triple(lambda: verify_strong_antiset(states, members, principal)) < 40
+
+
+def test_a_found_antiset_holds_under_40_bytes_per_triple():
+    b0 = generate_states(FamilySpec("hadamard", 6, "B0"))
+    basis = generate_states(FamilySpec("standard_basis", 6))
+    found = find_strong_antisets(b0.union(basis), b0.labels, basis.labels)
+    assert [len(a.triple_log) for a in found] == [2976]
+    assert _bytes_held_per_triple(lambda: find_strong_antisets(b0.union(basis), b0.labels, basis.labels)) < 40
 
 
 def test_find_strong_antisets_yu_oh():

@@ -11,6 +11,7 @@ from antictx.errors import (
     DuplicateRayError,
     ScenarioParseError,
     ToleranceAmbiguityError,
+    UnknownLabelError,
 )
 from antictx.quantum import (
     DensityOperator,
@@ -81,6 +82,14 @@ def test_gram_is_invariant_under_global_phase():
     rotated[2] *= np.exp(1j * 0.7)
     after = gram(PureStateSet(3, rays.labels, rotated)).overlaps
     assert np.abs(before - after).max() < 1e-12
+
+
+def test_gram_overlap_names_an_unknown_label(fixtures_dir):
+    g = gram(load_states((fixtures_dir / "yu_oh_all.json").read_bytes()))
+    assert g.overlap("a1", "a2") == g.overlaps[g.labels.index("a1"), g.labels.index("a2")]
+    for a, b in [("a1", "zz"), ("zz", "a1")]:
+        with pytest.raises(UnknownLabelError, match=r"^unknown state label 'zz'$"):
+            g.overlap(a, b)
 
 
 def test_frame_operator_yu_oh():
