@@ -14,7 +14,7 @@ checks its lengths and relations where it is made, however it is made, so
 
 Also provides the state-polytope constructions for scenarios: one variable
 per outcome, an equality row per context, a `<=` row per partial context,
-and box bounds [0, 1].
+x >= 0, and x <= 1 only on outcomes in no set (a set's row implies it).
 """
 
 from __future__ import annotations
@@ -146,7 +146,8 @@ def solve(lp: LinearProgram) -> LPResult:
     units = [([0] * j + [1] + [0] * (n - j - 1), LE, ub) for j, ub in enumerate(lp.upper) if ub is not None]
     rows: list[tuple[Sequence[Fraction], str, Fraction]] = []
     for coeffs, rel, rhs in (*lp.rows, *units):
-        rhs -= sum((coeffs[j] * lo for j, lo in shifted), _ZERO)
+        if shifted:
+            rhs -= sum((coeffs[j] * lo for j, lo in shifted), _ZERO)
         if rhs < 0:
             coeffs, rel, rhs = [-c for c in coeffs], _FLIPPED[rel], -rhs
         rows.append((coeffs, rel, rhs))
@@ -154,21 +155,19 @@ def solve(lp: LinearProgram) -> LPResult:
     status, y, optimum = _solve_nonneg(n, rows, lp.objective)
     if status != "optimal":
         return LPResult(status)
-    point = tuple(v + lo for v, lo in zip(y, lp.lower))
+    point = tuple(v + lo if lo else v for v, lo in zip(y, lp.lower))
     # the tableau's optimum, shifted back; _certify checks it against the point
-    value = optimum + _dot(lp.objective, lp.lower)
+    value = optimum + _dot(lp.objective, lp.lower) if shifted else optimum
     _certify(lp, point, value)
     return LPResult("optimal", value, point)
 
 
 def _lcm_denominators(values: Iterable[Fraction]) -> int:
-    return lcm(*(v.denominator for v in values))
+    return lcm(*(v.denominator for v in values if v))
 
 
 def _solve_nonneg(
-    nvars: int,
-    rows: list[tuple[Sequence[Fraction], str, Fraction]],
-    objective: Sequence[Fraction],
+    nvars: int, rows: list[tuple[Sequence[Fraction], str, Fraction]], objective: Sequence[Fraction]
 ) -> tuple[str, list[Fraction] | None, Fraction | None]:
     """Maximize objective . y over y >= 0 subject to `rows`, whose right-hand
     sides are nonnegative; return the status, the point and the optimum read
@@ -191,7 +190,7 @@ def _solve_nonneg(
     basis: list[int] = []
     si, ai = nvars, nreal
     for coeffs, rel, rhs in rows:
-        row = [c.numerator * d // c.denominator for c in coeffs]
+        row = [c.numerator * d // c.denominator if c else 0 for c in coeffs]
         row += [0] * (ncols - nvars)
         row.append(rhs.numerator * d * k // rhs.denominator)
         if rel != EQ:
@@ -317,9 +316,7 @@ def _run_simplex(tab: list[list[int]], basis: list[int], d: int) -> tuple[int, b
         cost = tab[-1]
 
 
-def _certify_infeasible(
-    initial: list[list[int]], start: list[int], cost: list[int], d: int, nreal: int
-) -> None:
+def _certify_infeasible(initial: list[list[int]], start: list[int], cost: list[int], d: int, nreal: int) -> None:
     """Check the Farkas certificate read from the final phase-1 cost row.
 
     Row i's multiplier, times d, is read at the column that was basic in row
@@ -355,13 +352,15 @@ def build_state_polytope(s: Scenario) -> LinearProgram:
     """Constraint set of the state polytope (zero objective).
 
     One variable per outcome in canonical order; context sums are pinned to
-    1, partial-context sums bounded by 1, and every coordinate lies in
-    [0, 1].
+    1, partial-context sums bounded by 1, and every coordinate is at least
+    0.  Only outcomes in no set get the upper bound 1: elsewhere a set's row
+    and x >= 0 imply it, so the polytope is the box-bounded one.
     """
     check_members_known(s)
     labels = s.outcomes
     index = {a: j for j, a in enumerate(labels)}
     zeros = (_ZERO,) * len(labels)
+    covered = set().union(*s.all_sets())
     rows = []
     for family, rel in ((s.contexts, EQ), (s.partial_contexts, LE)):
         for members in family:
@@ -369,7 +368,7 @@ def build_state_polytope(s: Scenario) -> LinearProgram:
             for a in members:
                 coeffs[index[a]] = _ONE
             rows.append((tuple(coeffs), rel, _ONE))
-    return LinearProgram(labels, zeros, tuple(rows), zeros, (_ONE,) * len(labels))
+    return LinearProgram(labels, zeros, tuple(rows), zeros, tuple(None if a in covered else _ONE for a in labels))
 
 
 def state_optimize(s: Scenario, coeffs: Mapping[str, object]) -> LPResult:
@@ -388,21 +387,22 @@ class StateUniquenessResult:
 def state_uniqueness(s: Scenario) -> StateUniquenessResult:
     """Decide whether the state polytope is empty, a single point, or larger.
 
-    Each coordinate is maximized and minimized; the polytope is a single
-    point iff every coordinate has equal extremes.
+    Two LPs per coordinate, its maximum and minimum, and no feasibility LP:
+    the polytope is bounded, so the first maximum is optimal or infeasible
+    (no state).  It is one point iff every coordinate's extremes agree.
     """
     lp = build_state_polytope(s)
-    if solve(lp).status != "optimal":
+    if not lp.variables and solve(lp).status != "optimal":
         return StateUniquenessResult("no-state")
     point = []
-    n = len(lp.variables)
     for j, label in enumerate(lp.variables):
-        unit = [_ZERO] * n
+        unit = [_ZERO] * len(lp.variables)
         unit[j] = _ONE
         hi = solve(lp.with_objective(unit))
+        if hi.status != "optimal":
+            return StateUniquenessResult("no-state")
         unit[j] = -_ONE
-        lo = solve(lp.with_objective(unit))
-        if hi.value != -lo.value:
+        if solve(lp.with_objective(unit)).value != -hi.value:
             return StateUniquenessResult("non-unique")
         point.append((label, hi.value))
     return StateUniquenessResult("unique", tuple(point))

@@ -16,8 +16,9 @@ from antictx.ratlp import (
     state_optimize,
     state_uniqueness,
 )
+from antictx.scenario import make_scenario
 
-from helpers import fm_feasible
+from helpers import fm_feasible, random_scenario
 
 
 def test_parse_rational_forms():
@@ -159,6 +160,59 @@ def test_state_uniqueness_cases():
     assert dict(specker.point) == {k: Fraction(1, 2) for k in "abc"}
     assert state_uniqueness(generate_scenario("no_state_example")).status == "no-state"
     assert state_uniqueness(generate_scenario("classical", 2)).status == "non-unique"
+    assert state_uniqueness(make_scenario([])) == ratlp.StateUniquenessResult("unique", ())
+
+
+def test_state_polytope_bounds_only_outcomes_in_no_set():
+    box = build_state_polytope(make_scenario(["u", "v"]))
+    assert box.upper == (1, 1)
+    klyachko = build_state_polytope(generate_scenario("klyachko"))
+    assert klyachko.upper == (None,) * len(klyachko.variables)
+    beside = build_state_polytope(make_scenario(["a", "b", "free"], [["a", "b"]]))
+    assert beside.variables == ("a", "b", "free")
+    assert beside.upper == (None, None, 1)
+
+
+def _full_box(s):
+    """The state polytope with x <= 1 on every outcome, built by hand."""
+    lp = build_state_polytope(s)
+    return LinearProgram.build(lp.variables, None, lp.rows, None, upper=[1] * len(lp.variables))
+
+
+def _full_box_uniqueness(s):
+    """A feasibility LP, then the maximum and minimum of each coordinate."""
+    lp = _full_box(s)
+    if solve(lp).status != "optimal":
+        return ratlp.StateUniquenessResult("no-state")
+    point = []
+    n = len(lp.variables)
+    for j, label in enumerate(lp.variables):
+        hi, lo = (solve(lp.with_objective([sign if k == j else 0 for k in range(n)])) for sign in (1, -1))
+        if hi.value != -lo.value:
+            return ratlp.StateUniquenessResult("non-unique")
+        point.append((label, hi.value))
+    return ratlp.StateUniquenessResult("unique", tuple(point))
+
+
+def test_state_lps_agree_with_the_full_box_polytope():
+    rng = random.Random(48)
+    statuses = set()
+    for k in range(2000):
+        s = random_scenario(rng)
+        coeffs = {a: rng.randint(-3, 3) for a in s.outcomes}
+        got = state_optimize(s, coeffs)
+        want = solve(_full_box(s).with_objective([coeffs[a] for a in s.outcomes]))
+        assert (got.status, got.value) == (want.status, want.value), f"draw {k}"
+        if got.point is not None:
+            lp = build_state_polytope(s)
+            assert all(0 <= x <= 1 for x in got.point)
+            for row, rel, rhs in lp.rows:
+                lhs = sum(c * x for c, x in zip(row, got.point))
+                assert lhs == rhs if rel == "=" else lhs <= rhs
+        unique = state_uniqueness(s)
+        assert unique == _full_box_uniqueness(s), f"draw {k}"
+        statuses.add(unique.status)
+    assert statuses == {"no-state", "unique", "non-unique"}
 
 
 def test_negated_objective_duality_sanity():
