@@ -25,9 +25,12 @@ at most 2^16 masks.  Each branch, and each mask such a list builds, is one
 node of the node budget, which all components of one question share.  The
 search keeps its own stack, so no scenario is too deep for it.
 
-Enumeration, definite intersections and membership build the product of the
+Enumeration and definite intersections build the product of the
 components' sorted mask lists, charging one node per value function built,
-so the budget also caps the list.  Counts and classical bounds are one pass
+so the budget also caps the list.  Membership builds no product: the hull
+of a product is the product of the hulls, so it lists each component's
+masks (one node each), solves one LP per component with a set, and joins
+their weights into one witness.  Counts and classical bounds are one pass
 over the components that counts and keeps the heaviest value function under
 integer weights, building no list.  A definite intersection is the search
 with each definite outcome added as a one-outcome context; an antiset bound
@@ -42,7 +45,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import lcm, prod
 from typing import Iterable, Mapping, NamedTuple
 
@@ -138,9 +141,10 @@ class MembershipVerdict:
 
 
 def _components(s: Scenario, budget: NodeBudget, gains=None):
-    """Yield one leaf generator per connected component of the (partial-)
-    context hypergraph of `s` (see `_search`); the outcomes in no set form
-    one more component."""
+    """Yield (outcomes, has_set, leaves) per connected component of the
+    (partial-)context hypergraph of `s`: its outcome mask, whether any set
+    lies in it, and its leaf generator (see `_search`).  The outcomes in no
+    set form one more component, the no-set lump."""
     check_members_known(s)
     n = len(s.outcomes)
     bit = {a: 1 << (n - 1 - i) for i, a in enumerate(s.outcomes)}
@@ -158,11 +162,12 @@ def _components(s: Scenario, budget: NodeBudget, gains=None):
         parts.setdefault(joined, []).extend(contexts)  # empty sets share the key 0
     free = ((1 << n) - 1) & ~sum(parts)
     if free:
-        parts[free] = []
+        parts[free] = None  # the no-set lump
     gain = {b: (gains or {}).get(a, 0) for a, b in bit.items()}
     for outcomes, contexts in sorted(parts.items(), reverse=True):
         # contexts keep the scenario's order, so ties in branching do too
-        yield _search(outcomes, [masks[i] for i in sorted(contexts)], zeroed, gain, budget)
+        leaves = _search(outcomes, [masks[i] for i in sorted(contexts or ())], zeroed, gain, budget)
+        yield outcomes, contexts is not None, leaves
 
 
 def _search(outcomes: int, contexts: list[int], zeroed, gain, budget: NodeBudget):
@@ -227,7 +232,7 @@ def _masks(s: Scenario, node_budget) -> list[int]:
     components' masks, one node charged per mask built."""
     budget = NodeBudget(node_budget, "value-function search")
     factors = []
-    for leaves in _components(s, budget):
+    for _, _, leaves in _components(s, budget):
         found = sorted(ones for ones, _ in leaves)
         if not found:
             return []
@@ -265,7 +270,7 @@ def _best(s: Scenario, gains: Mapping[str, int], node_budget):
     components, and maxima and first maximizers add up, since components
     share no outcome.  With no value function at all, (0, 0, None)."""
     count, best, best_ones = 1, 0, 0
-    for leaves in _components(s, NodeBudget(node_budget, "value-function search"), gains=gains):
+    for _, _, leaves in _components(s, NodeBudget(node_budget, "value-function search"), gains=gains):
         part_count, part_best, part_ones = 0, None, 0
         for ones, weight in leaves:
             part_count += 1
@@ -348,36 +353,64 @@ def _check_state(s: Scenario, state: Mapping[str, Fraction]) -> dict[str, Fracti
     return full
 
 
+def _coupled(factors: list[list[tuple[int, Fraction]]]) -> list[tuple[int, Fraction]]:
+    """Join distributions over masks with disjoint bits into one over their
+    unions: the north-west-corner coupling.  Each factor's weights are laid
+    along [0, 1] in order and cut at every factor's breakpoints; a piece gets
+    the union of the masks above it.  Every factor keeps its marginal, and
+    there are at most sum(len(f)) - (len(factors) - 1) pieces."""
+    ends = [list(accumulate(p for _, p in f)) for f in factors]
+    at, last, pieces = [0] * len(factors), Fraction(0), []
+    for cut in sorted(set().union(*ends)):
+        # disjoint bits: the sum of the masks is their union
+        pieces.append((sum(f[i][0] for f, i in zip(factors, at)), cut - last))
+        at, last = [i + (e[i] == cut) for e, i in zip(ends, at)], cut
+    return pieces or [(0, Fraction(1))]
+
+
 def is_noncontextual_state(
     s: Scenario, state: Mapping[str, object], *, node_budget: int | None = None
 ) -> MembershipVerdict:
     """Exact membership test for the noncontextual polytope.
 
-    Feasibility of omega = sum_v p_v v with p a probability vector is
-    decided by the rational LP solver over the full enumeration of value
-    functions; a witness decomposition is returned when one exists.
-    Raises NotAStateError when the input is not a state at all.
+    The value functions are the product of the components', and the convex
+    hull of a product is the product of the hulls, so omega is a member
+    exactly when each component's restriction is.  Every component with a
+    set lists its value functions (one node each; none at all is an empty
+    polytope), then the rational LP solver decides omega = sum_v p_v v with
+    p a probability vector, one component at a time.  An outcome in no set
+    needs no LP: 0 <= omega(a) <= 1 is the cube.  The witness joins the
+    components' weights by `_coupled`.  Raises NotAStateError when the
+    input is not a state at all.
     """
     full = _check_state(s, state)
-    masks = _masks(s, node_budget)
-    if not masks:
-        return MembershipVerdict("empty-polytope")
-    # one column per value function, its 0/1 entries read off the mask
-    k, n = len(masks), len(s.outcomes)
-    rows = [
-        (tuple(ones >> (n - 1 - i) & 1 for ones in masks), ratlp.EQ, full[a])
-        for i, a in enumerate(s.outcomes)
-    ]
-    rows.append(((1,) * k, ratlp.EQ, 1))
-    lp = ratlp.LinearProgram(
-        tuple(f"p{j}" for j in range(k)), (0,) * k, tuple(rows), (0,) * k, (None,) * k
-    )
-    result = ratlp.solve(lp)
-    if result.status != "optimal":
-        return MembershipVerdict("not-member")
-    weights = tuple(
-        (ValueFunction(s.outcomes, ones), p) for ones, p in zip(masks, result.point) if p
-    )
+    n = len(s.outcomes)
+    budget = NodeBudget(node_budget, "value-function search")
+    parts, factors = [], []
+    for outcomes, has_set, leaves in _components(s, budget):
+        # each outcome of the component with the shift of its bit
+        bits = [(a, n - 1 - i) for i, a in enumerate(s.outcomes) if outcomes >> (n - 1 - i) & 1]
+        if not has_set:  # each outcome is a factor of its own
+            factors += [[(m, p) for m, p in ((0, 1 - full[a]), (1 << j, full[a])) if p] for a, j in bits]
+            continue
+        masks = sorted(ones for ones, _ in leaves)
+        if not masks:
+            return MembershipVerdict("empty-polytope")
+        budget.charge(len(masks))
+        parts.append((bits, masks))
+    for bits, masks in parts:
+        # one column per value function, its 0/1 entries read off the mask
+        k = len(masks)
+        rows = [(tuple(ones >> j & 1 for ones in masks), ratlp.EQ, full[a]) for a, j in bits]
+        rows.append(((1,) * k, ratlp.EQ, 1))
+        lp = ratlp.LinearProgram(
+            tuple(f"p{j}" for j in range(k)), (0,) * k, tuple(rows), (0,) * k, (None,) * k
+        )
+        result = ratlp.solve(lp)
+        if result.status != "optimal":
+            return MembershipVerdict("not-member")
+        factors.append([(ones, p) for ones, p in zip(masks, result.point) if p])
+    weights = tuple((ValueFunction(s.outcomes, ones), p) for ones, p in sorted(_coupled(factors)))
     decomposition = NoncontextualDecomposition(weights)
     if decomposition.induced_state() != full:
         raise RuntimeError("decomposition failed to reproduce the state")

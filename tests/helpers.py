@@ -3,7 +3,8 @@
 These deliberately avoid the library's own algorithms: value functions are
 checked by filtering all 2^n assignments, LP feasibility by Fourier-Motzkin
 elimination, and combinatorial antidistinguishability by trying every
-blocker permutation.
+blocker permutation.  Membership is one dense LP over that whole filtered
+list, with no split into components.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from antictx.antidist import ScenarioAntidistVerdict
 from antictx.errors import ResourceLimitError, UnknownLabelError
+from antictx.ratlp import LinearProgram, solve
 from antictx.scenario import Scenario, check_labels, make_scenario, validate_scenario
 from antictx.valuefns import DEFAULT_NODE_BUDGET
 
@@ -40,6 +42,22 @@ def naive_value_functions(s: Scenario) -> list[tuple[int, ...]]:
     return list(map(tuple, (assignments[keep, None] >> shifts & 1).tolist()))
 
 
+def dense_membership(s: Scenario, state) -> tuple[str, list[tuple[tuple[int, ...], Fraction]]]:
+    """Membership by one LP with a column per value function of the whole
+    scenario: the status, and for a member the value functions (0/1 vectors
+    in lexicographic order) with positive weight at the LP's vertex."""
+    labels = sorted(s.outcomes)
+    naive = naive_value_functions(s)
+    if not naive:
+        return "empty-polytope", []
+    rows = [([bits[i] for bits in naive], "=", state.get(a, 0)) for i, a in enumerate(labels)]
+    rows.append(([1] * len(naive), "=", 1))
+    result = solve(LinearProgram.build([f"p{k}" for k in range(len(naive))], rows=rows))
+    if result.status != "optimal":
+        return "not-member", []
+    return "member", [(bits, p) for bits, p in zip(naive, result.point) if p]
+
+
 def _antichain(sets: list[frozenset]) -> list[frozenset]:
     kept: list[frozenset] = []
     for candidate in sets:
@@ -49,13 +67,14 @@ def _antichain(sets: list[frozenset]) -> list[frozenset]:
     return kept
 
 
-def random_scenario(rng: random.Random, max_outcomes: int = 10) -> Scenario:
-    """A random valid scenario with at most `max_outcomes` outcomes."""
+def random_scenario(rng: random.Random, max_outcomes: int = 10, max_sets: int = 5) -> Scenario:
+    """A random valid scenario with at most `max_outcomes` outcomes and
+    `max_sets` sets."""
     while True:
         n = rng.randint(2, max_outcomes)
         labels = [f"o{i:02d}" for i in range(n)]
         sets = []
-        for _ in range(rng.randint(1, 5)):
+        for _ in range(rng.randint(1, max_sets)):
             size = rng.randint(1, min(4, n))
             sets.append(frozenset(rng.sample(labels, size)))
         m_count = rng.randint(0, len(sets))

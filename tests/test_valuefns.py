@@ -5,8 +5,10 @@ import itertools
 import pickle
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from antictx import antidist, ratlp, scenario, valuefns
@@ -18,8 +20,8 @@ from antictx.errors import (
     ResourceLimitError,
     UnknownLabelError,
 )
-from antictx.quantum import scenario_from_states
-from antictx.ratlp import LinearProgram, solve
+from antictx.quantum import PureStateSet, scenario_from_states
+from antictx.ratlp import state_optimize
 from antictx.scenario import Scenario, make_scenario
 from antictx.valuefns import (
     brute_force_antiset_bound,
@@ -32,7 +34,7 @@ from antictx.valuefns import (
     parse_state_json,
 )
 
-from helpers import naive_value_functions, random_scenario
+from helpers import dense_membership, naive_value_functions, random_scenario
 
 
 def test_specker_has_no_value_functions():
@@ -357,32 +359,77 @@ def test_count_matches_naive_filter_on_random_scenarios():
         assert count_value_functions(s) == len(naive_value_functions(s))
 
 
+def _mixture(rng, naive, labels):
+    """A mixture of up to three of the 0/1 vectors `naive`, with weights 1..5."""
+    chosen = rng.sample(naive, min(len(naive), 3))
+    mix = [rng.randint(1, 5) for _ in chosen]
+    return {
+        a: Fraction(sum(w * bits[i] for bits, w in zip(chosen, mix)), sum(mix))
+        for i, a in enumerate(labels)
+    }
+
+
+def _factors(s: Scenario) -> list[tuple[int, ...]]:
+    """Canonical indices of each connected component of the sets, and of
+    each outcome in no set on its own."""
+    labels = list(s.outcomes)
+    group = {a: {a} for a in labels}
+    for members in s.all_sets():
+        joined = set().union(*(group[a] for a in members))
+        group.update(dict.fromkeys(joined, joined))
+    return sorted({tuple(sorted(map(labels.index, g))) for g in group.values()})
+
+
+def _one_dense_lp(s: Scenario) -> bool:
+    """One component and every outcome in a set: membership solves the
+    dense LP itself."""
+    return len(_factors(s)) == 1 and set().union(*s.all_sets()) == set(s.outcomes)
+
+
+def _check_membership(s: Scenario, state, verdict) -> str:
+    """Check `verdict` against the dense LP and return its status.
+
+    Where membership solves the dense LP itself, the weights are the dense
+    vertex's, in order.  Elsewhere they are an exact witness: value
+    functions of the naive list in ascending order, positive weights summing
+    to 1 that induce the state, and at most sum(s_k) - (K - 1) of them over
+    the K factors, s_k the distinct restrictions to factor k."""
+    status, dense = dense_membership(s, state)
+    assert verdict.status == status
+    if status != "member":
+        return status
+    weights = [(vf.values, p) for vf, p in verdict.decomposition.weights]
+    if _one_dense_lp(s):
+        assert weights == dense
+        return status
+    naive = set(naive_value_functions(s))
+    assert all(bits in naive for bits, _ in weights)
+    assert all(p > 0 for _, p in weights) and sum(p for _, p in weights) == 1
+    assert verdict.decomposition.induced_state() == state
+    masks = [vf.ones for vf, _ in verdict.decomposition.weights]
+    assert all(a < b for a, b in zip(masks, masks[1:]))
+    factors = _factors(s)
+    supports = [len({tuple(bits[i] for i in f) for bits, _ in weights}) for f in factors]
+    assert len(weights) <= sum(supports) - (len(factors) - 1)
+    return status
+
+
 def test_membership_decomposition_matches_the_lp_over_the_naive_filter():
-    """The membership LP's columns are read off the search's masks as ints;
-    the same LP written out from the naive filter with Fraction entries
-    through LinearProgram.build must give the same weights, in order."""
+    """Membership's LP columns are read off the search's masks as ints.  On
+    one component with every outcome in a set, that LP is the dense one
+    written out from the naive filter, and the weights are its vertex's, in
+    order; elsewhere they are an exact witness (see `_check_membership`)."""
     rng, cases = _random_cases(23, 200, max_outcomes=8)
-    checked = 0
+    checked = dense = 0
     for s in cases:
         naive = naive_value_functions(s)
         if not naive:
             continue
-        labels = sorted(s.outcomes)
-        chosen = rng.sample(naive, min(len(naive), 3))
-        mix = [rng.randint(1, 5) for _ in chosen]
-        state = {
-            a: Fraction(sum(w * bits[i] for bits, w in zip(chosen, mix)), sum(mix))
-            for i, a in enumerate(labels)
-        }
-        rows = [([bits[i] for bits in naive], "=", state[a]) for i, a in enumerate(labels)]
-        rows.append(([1] * len(naive), "=", 1))
-        reference = solve(LinearProgram.build([f"p{k}" for k in range(len(naive))], rows=rows))
-        verdict = is_noncontextual_state(s, state)
-        assert [(vf.labels, vf.values, p) for vf, p in verdict.decomposition.weights] == [
-            (tuple(labels), bits, p) for bits, p in zip(naive, reference.point) if p
-        ]
+        state = _mixture(rng, naive, sorted(s.outcomes))
+        assert _check_membership(s, state, is_noncontextual_state(s, state)) == "member"
         checked += 1
-    assert checked > 100
+        dense += _one_dense_lp(s)
+    assert checked > 100 and 20 < dense < checked
 
 
 def test_definite_intersection_matches_naive_filter_on_random_scenarios():
@@ -502,12 +549,6 @@ def _disjoint_union(parts):
     return make_scenario(outcomes, contexts, partials)
 
 
-def _lp_over_naive(naive, labels, state):
-    rows = [([bits[i] for bits in naive], "=", state[a]) for i, a in enumerate(labels)]
-    rows.append(([1] * len(naive), "=", 1))
-    return solve(LinearProgram.build([f"p{k}" for k in range(len(naive))], rows=rows))
-
-
 def test_disjoint_unions_match_the_naive_filter():
     rng = random.Random(77)
     checked = 0
@@ -532,17 +573,8 @@ def test_disjoint_unions_match_the_naive_filter():
         assert result.bound == max(values)
         assert result.maximizer.values == naive[values.index(max(values))]
         assert result.value_function_count == len(naive)
-        chosen = rng.sample(naive, min(len(naive), 3))
-        mix = [rng.randint(1, 5) for _ in chosen]
-        state = {
-            a: Fraction(sum(w * bits[i] for bits, w in zip(chosen, mix)), sum(mix))
-            for i, a in enumerate(labels)
-        }
-        reference = _lp_over_naive(naive, labels, state)
-        verdict = is_noncontextual_state(s, state)
-        assert [(vf.values, p) for vf, p in verdict.decomposition.weights] == [
-            (bits, p) for bits, p in zip(naive, reference.point) if p
-        ]
+        state = _mixture(rng, naive, labels)
+        assert _check_membership(s, state, is_noncontextual_state(s, state)) == "member"
         checked += 1
     assert checked > 30
 
@@ -553,8 +585,74 @@ def test_contextual_component_makes_the_union_contextual():
     s = _disjoint_union([klyachko, small])
     labels = list(s.outcomes)
     state = {a: Fraction(1, 2) if a.endswith("a") else Fraction(int(a == "xb")) for a in labels}
-    assert _lp_over_naive(naive_value_functions(s), labels, state).status == "infeasible"
+    assert dense_membership(s, state)[0] == "not-member"
     assert is_noncontextual_state(s, state).status == "not-member"
+
+
+def test_membership_agrees_with_the_dense_lp_on_mixtures_and_state_vertices():
+    """Random scenarios and disjoint unions of them, at mixtures of value
+    functions (members) and at state-polytope vertices under random
+    nonnegative objectives (some not members): every verdict is the dense
+    LP's.  Up to 12 sets on at most 10 outcomes make contextual parts common."""
+    rng = random.Random(4049)
+    counts = Counter()
+    while sum(counts.values()) < 1000:
+        k = rng.choice((1, 1, 2, 3))
+        s = _disjoint_union([random_scenario(rng, max_outcomes=10 // k, max_sets=12) for _ in range(k)])
+        labels = sorted(s.outcomes)
+        naive = naive_value_functions(s)
+        if naive:
+            state = _mixture(rng, naive, labels)
+            counts[_check_membership(s, state, is_noncontextual_state(s, state))] += 1
+        vertex = state_optimize(s, {a: rng.randint(0, 3) for a in labels})
+        if vertex.status == "optimal":
+            state = dict(zip(labels, vertex.point))
+            counts[_check_membership(s, state, is_noncontextual_state(s, state))] += 1
+    assert counts["member"] > 500 and counts["not-member"] > 20 and counts["empty-polytope"] > 5
+
+
+def _hadamard_b0_and_basis(d):
+    """Hadamard B0 rays of C^d with the standard basis."""
+    rays = generate_states(FamilySpec("hadamard", d, "B0"))
+    basis = tuple(f"e{i}" for i in range(d))
+    states = PureStateSet(d, rays.labels + basis, np.vstack([rays.vectors, np.eye(d, dtype=complex)]))
+    return scenario_from_states(states), rays.labels
+
+
+def test_membership_splits_what_the_dense_lp_could_not_hold():
+    """A few nodes per component, where the product has 5^6 = 15,625 value
+    functions (MUB d=5) or 5 * 2^16 = 327,680 (16 rays in no set)."""
+    mub = scenario_from_states(generate_states(FamilySpec("mub", 5)))
+    assert count_value_functions(mub) == 15_625
+    uniform = dict.fromkeys(mub.outcomes, Fraction(1, 5))
+    verdict = is_noncontextual_state(mub, uniform, node_budget=100)
+    assert verdict.is_member and verdict.decomposition.induced_state() == uniform
+    assert len(verdict.decomposition.weights) == 5  # at most 6 * 5 - 5
+
+    s, rays = _hadamard_b0_and_basis(5)
+    assert len(rays) == 16 and not set(rays) & set().union(*s.all_sets())
+    assert count_value_functions(s) == 327_680
+    state = {a: Fraction(rays.index(a) + 1, 17) if a in rays else Fraction(1, 5) for a in s.outcomes}
+    verdict = is_noncontextual_state(s, state, node_budget=100)
+    assert verdict.is_member and verdict.decomposition.induced_state() == state
+    assert len(verdict.decomposition.weights) <= 16 * 2 + 5 - 16
+    ones = [vf.ones for vf, _ in verdict.decomposition.weights]
+    assert ones == sorted(set(ones))
+    # no component at all: the one value function of no outcome
+    verdict = is_noncontextual_state(make_scenario([], []), {})
+    assert verdict.decomposition.weights == ((ValueFunction((), 0), 1),)
+
+
+def test_an_empty_component_outranks_a_contextual_one():
+    """The triangle has no value function at omega = 1/2, and Klyachko's
+    LP is infeasible there: the polytope is empty, whatever is solved."""
+    triangle = make_scenario(["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]])
+    klyachko = generate_scenario("klyachko")
+    for parts in ([triangle, klyachko], [klyachko, triangle]):
+        s = _disjoint_union(parts)
+        half = dict.fromkeys(s.outcomes, Fraction(1, 2))
+        assert dense_membership(s, half)[0] == "empty-polytope"
+        assert is_noncontextual_state(s, half).status == "empty-polytope"
 
 
 def test_counts_multiply_past_any_list():
@@ -633,9 +731,8 @@ def test_tail_matches_the_naive_filter(n, extra, size, context):
     chosen = rng.sample(naive, 3)
     state = {a: Fraction(sum(bits[i] for bits in chosen), 3) for i, a in enumerate(labels)}
     verdict = is_noncontextual_state(s, state)
-    assert [(vf.values, p) for vf, p in verdict.decomposition.weights] == [
-        (bits, p) for bits, p in zip(naive, _lp_over_naive(naive, labels, state).point) if p
-    ]
+    assert _one_dense_lp(s)  # one component: the weights are the dense vertex's
+    assert [(vf.values, p) for vf, p in verdict.decomposition.weights] == dense_membership(s, state)[1]
 
 
 def test_hadamard6_value_functions_are_sorted_and_unique():
